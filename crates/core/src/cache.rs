@@ -128,18 +128,18 @@ impl AnalysisCache {
     /// Propagates the switch-level truth-table derivation error; failures
     /// are not cached.
     pub fn packed_eval(&self, cell: &CellNetlist) -> Result<Arc<PackedEval>, CoreError> {
-        if let Some(e) = lock(&self.packed).get(cell.name()) {
+        let mut packed = lock(&self.packed);
+        if let Some(e) = packed.get(cell.name()) {
             self.packed_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(Arc::clone(e));
         }
-        // Compile outside the lock; a concurrent duplicate compile of the
-        // same (deterministic) evaluator is cheaper than serializing.
+        // Compile under the lock, once per cell type: concurrent cold
+        // lookups then make exactly one truth-table lookup between them,
+        // so `cache.table.lookups` does not depend on scheduling.
         self.packed_misses.fetch_add(1, Ordering::Relaxed);
         let table = self.truth_table(cell)?;
         let eval = Arc::new(PackedEval::from_table(&table));
-        lock(&self.packed)
-            .entry(cell.name().to_owned())
-            .or_insert_with(|| Arc::clone(&eval));
+        packed.insert(cell.name().to_owned(), Arc::clone(&eval));
         Ok(eval)
     }
 
@@ -309,6 +309,32 @@ mod tests {
         assert!(Arc::ptr_eq(&eval, &again));
         assert_eq!(cache.table_stats(), tables_before);
         assert_eq!(cache.packed_stats(), CacheStats { hits: 1, misses: 1 });
+    }
+
+    #[test]
+    fn racing_cold_packed_lookups_make_the_serial_table_lookups() {
+        const THREADS: usize = 8;
+        let cells = CellLibrary::standard();
+        let cell = cells.get("AO7SVTX1").unwrap().netlist();
+        let serial = AnalysisCache::new();
+        for _ in 0..THREADS {
+            serial.packed_eval(cell).unwrap();
+        }
+        let lookups = |stats: CacheStats| stats.hits + stats.misses;
+        for _ in 0..10 {
+            let cache = AnalysisCache::new();
+            let start = std::sync::Barrier::new(THREADS);
+            std::thread::scope(|s| {
+                for _ in 0..THREADS {
+                    s.spawn(|| {
+                        start.wait();
+                        cache.packed_eval(cell).unwrap();
+                    });
+                }
+            });
+            assert_eq!(lookups(cache.table_stats()), lookups(serial.table_stats()));
+            assert_eq!(cache.packed_stats(), serial.packed_stats());
+        }
     }
 
     #[test]

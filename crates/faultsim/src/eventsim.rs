@@ -30,7 +30,7 @@ use std::sync::Arc;
 
 use icd_logic::packed::PackedEval;
 use icd_logic::Lv;
-use icd_netlist::{Circuit, GateId, NetId};
+use icd_netlist::{Circuit, ConeSet, GateId, NetId};
 
 use crate::bitsim::{build_evaluators, BitValues};
 use crate::{DiffPropagator, FaultSimError};
@@ -204,6 +204,26 @@ impl EventSim {
     /// Whether `net` was disturbed by the last propagation.
     pub fn disturbed(&self, net: NetId) -> bool {
         self.net_stamp[net.index()] == self.stamp
+    }
+
+    /// The lanes of word `w` on which the last propagation reached any
+    /// observe point in `positions` (indices into [`Circuit::outputs`]):
+    /// the OR of their faulty-vs-good difference words.
+    pub fn observed(
+        &self,
+        circuit: &Circuit,
+        good: &BitValues,
+        w: usize,
+        positions: ConeSet<'_>,
+    ) -> u64 {
+        let outputs = circuit.outputs();
+        positions
+            .iter()
+            .map(|i| outputs[i])
+            .filter(|&net| self.disturbed(net))
+            .fold(0, |lanes, net| {
+                lanes | (self.word(good, net, w) ^ good.word(net, w))
+            })
     }
 
     /// Scalar three-valued fallback for forced values the binary word

@@ -12,8 +12,9 @@
 //!   good machine and only the reached gates re-evaluate, with per-word
 //!   early exit and fault dropping ([`first_detections`]).
 //! * [`ternary_simulate`] / [`DiffPropagator`] — serial three-valued
-//!   simulation and event-driven difference propagation (used for
-//!   observability checks and faulty-response computation).
+//!   simulation and event-driven difference propagation (used where
+//!   values can be `U`: exact CPT re-verification and faulty-response
+//!   computation).
 //! * [`GateFault`] — the classical fault models (stuck-at, transition,
 //!   dominant bridging) with parallel-pattern single-fault detection
 //!   ([`detects`]).

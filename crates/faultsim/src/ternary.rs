@@ -90,61 +90,6 @@ impl DiffPropagator {
         base: &[Lv],
         forces: &[(NetId, Lv)],
     ) -> Vec<(usize, Lv)> {
-        self.run(circuit, base, forces);
-        // A forced output net with an empty fanout still changed, so the
-        // output scan cannot be skipped once any force took effect.
-        let stamp = self.stamp;
-        circuit
-            .outputs()
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &net)| {
-                if self.overlay_stamp[net.index()] == stamp
-                    && self.overlay[net.index()] != base[net.index()]
-                {
-                    Some((i, self.overlay[net.index()]))
-                } else {
-                    None
-                }
-            })
-            .collect()
-    }
-
-    /// [`DiffPropagator::propagate`], but scanning only the output
-    /// positions in `scan` (indices into `circuit.outputs()`).
-    ///
-    /// The caller must pass a superset of the positions the forces can
-    /// reach — e.g. the union of the forced nets' fanout-cone
-    /// observability sets ([`Circuit::observable_outputs`]) — otherwise
-    /// reachable miscompares are silently dropped.
-    pub fn propagate_within(
-        &mut self,
-        circuit: &Circuit,
-        base: &[Lv],
-        forces: &[(NetId, Lv)],
-        scan: &[usize],
-    ) -> Vec<(usize, Lv)> {
-        self.run(circuit, base, forces);
-        let stamp = self.stamp;
-        let outputs = circuit.outputs();
-        scan.iter()
-            .filter_map(|&i| {
-                let net = outputs[i];
-                if self.overlay_stamp[net.index()] == stamp
-                    && self.overlay[net.index()] != base[net.index()]
-                {
-                    Some((i, self.overlay[net.index()]))
-                } else {
-                    None
-                }
-            })
-            .collect()
-    }
-
-    /// The shared propagation core: applies `forces` and drains the
-    /// level-ordered frontier, leaving the result in the overlay under the
-    /// current stamp.
-    fn run(&mut self, circuit: &Circuit, base: &[Lv], forces: &[(NetId, Lv)]) {
         self.stamp = self.stamp.wrapping_add(1);
         if self.stamp == 0 {
             // Extremely rare wrap: clear stamps to stay sound.
@@ -182,7 +127,7 @@ impl DiffPropagator {
         }
         if !any_force {
             icd_obs::counter("eventsim.early_exits", 1, icd_obs::Stability::Stable);
-            return;
+            return Vec::new();
         }
 
         let mut evaluated = 0u64;
@@ -221,6 +166,23 @@ impl DiffPropagator {
             evaluated,
             icd_obs::Stability::Stable,
         );
+
+        // A forced output net with an empty fanout still changed, so the
+        // output scan cannot be skipped once any force took effect.
+        circuit
+            .outputs()
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &net)| {
+                if self.overlay_stamp[net.index()] == stamp
+                    && self.overlay[net.index()] != base[net.index()]
+                {
+                    Some((i, self.overlay[net.index()]))
+                } else {
+                    None
+                }
+            })
+            .collect()
     }
 }
 

@@ -1,10 +1,10 @@
 use std::collections::HashMap;
 
-use icd_faultsim::{good_simulate, Datalog, DiffPropagator};
+use icd_faultsim::{good_simulate, Datalog, EventSim};
 use icd_logic::Lv;
 use icd_netlist::{Circuit, GateId, NetId};
 
-use crate::{gate_cpt, IntercellError};
+use crate::{check_pattern_count, gate_cpt, lane_words, IntercellError};
 
 /// How many passing patterns are examined per candidate when counting
 /// contradictions; bounds the cost on long production test sets.
@@ -145,7 +145,9 @@ impl IntercellDiagnosis {
 /// # Errors
 ///
 /// Returns an error when the datalog references unknown patterns or
-/// outputs, or the patterns are malformed.
+/// outputs, claims more patterns than were applied
+/// ([`IntercellError::PatternCountExceeded`]), or the patterns are
+/// malformed.
 pub fn diagnose(
     circuit: &Circuit,
     patterns: &[icd_logic::Pattern],
@@ -193,112 +195,100 @@ pub fn diagnose_with_options(
     good: &icd_faultsim::BitValues,
     options: &DiagnoseOptions,
 ) -> Result<IntercellDiagnosis, IntercellError> {
-    // Phase 1: candidates from failing-pattern critical paths.
-    let mut explained: HashMap<GateId, Vec<usize>> = HashMap::new();
-    let mut fail_value: HashMap<GateId, Lv> = HashMap::new();
-    let mut consistent: HashMap<GateId, bool> = HashMap::new();
+    check_pattern_count(datalog, patterns)?;
 
-    for entry in &datalog.entries {
+    // Phase 1: candidates from failing-pattern critical paths. Per-gate
+    // state is dense; `seen` holds the last entry that credited the gate,
+    // so each failing pattern counts once per gate.
+    let num_gates = circuit.num_gates();
+    let mut explained: Vec<Vec<usize>> = vec![Vec::new(); num_gates];
+    let mut fail_value = vec![false; num_gates];
+    let mut consistent = vec![true; num_gates];
+    let mut seen = vec![usize::MAX; num_gates];
+    let mut base = vec![Lv::U; circuit.num_nets()];
+    for (e, entry) in datalog.entries.iter().enumerate() {
         let t = entry.pattern_index;
         if t >= patterns.len() {
             return Err(IntercellError::BadPatternIndex(t));
         }
-        let base: Vec<Lv> = (0..circuit.num_nets())
-            .map(|i| Lv::from(good.value(NetId::from_index(i), t)))
-            .collect();
-        let mut seen_this_pattern: HashMap<GateId, ()> = HashMap::new();
+        for (i, v) in base.iter_mut().enumerate() {
+            *v = Lv::from(good.value(NetId::from_index(i), t));
+        }
         for &oi in &entry.failing_outputs {
             let &start = circuit
                 .outputs()
                 .get(oi)
                 .ok_or(IntercellError::BadOutputIndex(oi))?;
-            for net in gate_cpt(circuit, &base, start) {
-                if let Some(gate) = circuit.driver(net) {
-                    if seen_this_pattern.insert(gate, ()).is_none() {
-                        explained.entry(gate).or_default().push(t);
-                        let v = base[circuit.gate_output(gate).index()];
-                        match fail_value.get(&gate) {
-                            None => {
-                                fail_value.insert(gate, v);
-                                consistent.insert(gate, true);
-                            }
-                            Some(&prev) if prev == v => {}
-                            Some(_) => {
-                                consistent.insert(gate, false);
-                            }
-                        }
-                    }
+            for gate in gate_cpt(circuit, &base, start)
+                .into_iter()
+                .filter_map(|net| circuit.driver(net))
+            {
+                let g = gate.index();
+                if seen[g] == e {
+                    continue;
                 }
+                seen[g] = e;
+                let v = good.value(circuit.gate_output(gate), t);
+                if explained[g].is_empty() {
+                    fail_value[g] = v;
+                } else if fail_value[g] != v {
+                    consistent[g] = false;
+                }
+                explained[g].push(t);
             }
         }
     }
 
-    // Phase 2: mispredict count against sampled passing patterns.
-    let passing = datalog.passing_pattern_indices();
-    let sample: Vec<usize> = passing
-        .iter()
-        .copied()
-        .take(options.passing_sample)
-        .collect();
-    let mut propagator = DiffPropagator::new(circuit);
-    let mut sample_bases: Vec<(usize, Vec<Lv>)> = Vec::with_capacity(sample.len());
-    for &t in &sample {
-        let base: Vec<Lv> = (0..circuit.num_nets())
-            .map(|i| Lv::from(good.value(NetId::from_index(i), t)))
-            .collect();
-        sample_bases.push((t, base));
-    }
-
-    // Preliminary ranking by explained failures; only the head of the
-    // list gets the (cone-bounded but non-trivial) mispredict scoring.
+    // Preliminary ranking by explained failures (ties stay in gate order:
+    // the list is built in gate order and the sort is stable); only the
+    // head of the list gets the mispredict scoring.
     let total_failing = datalog.failing_pattern_indices().len();
     let mut candidates: Vec<GateCandidate> = explained
         .into_iter()
-        .map(|(gate, explained)| GateCandidate {
-            gate,
+        .enumerate()
+        .filter(|(_, explained)| !explained.is_empty())
+        .map(|(g, explained)| GateCandidate {
+            gate: GateId::from_index(g),
             misses: total_failing.saturating_sub(explained.len()),
             explained,
             mispredicts: 0,
-            consistent_static: consistent.get(&gate).copied().unwrap_or(false),
+            consistent_static: consistent[g],
         })
         .collect();
-    candidates.sort_by(|a, b| {
-        b.explained
-            .len()
-            .cmp(&a.explained.len())
-            .then(a.gate.cmp(&b.gate))
-    });
+    candidates.sort_by_key(|c| std::cmp::Reverse(c.explained.len()));
+
+    // Phase 2: mispredicts against the sampled passing patterns, 64 per
+    // word. If the defect were the stuck-at that explains the failures, a
+    // sampled pattern with the same good output value whose flip reaches
+    // an observe point would have failed too. The gate output is flipped
+    // on exactly those lanes and one word propagation scores them all;
+    // lanes never interact, so each verdict is the per-pattern one.
+    let sample = lane_words(
+        good,
+        datalog
+            .passing_pattern_indices()
+            .into_iter()
+            .take(options.passing_sample),
+    );
+    let mut sim = EventSim::new(circuit)?;
     for candidate in candidates.iter_mut().take(options.scored_candidates) {
         if !candidate.consistent_static {
             continue;
         }
         let out = circuit.gate_output(candidate.gate);
-        let Some(&fail_v) = fail_value.get(&candidate.gate) else {
-            // Unreachable by construction (every candidate gained an entry
-            // in phase 1), but noise-hardened: a missing value only skips
-            // the scoring rather than panicking the pipeline.
-            continue;
-        };
-        // A flipped gate output can only reach the outputs in its
-        // fanout-cone observability set; restrict the per-pattern output
-        // scan to those positions.
-        let obs_pos: Vec<usize> = circuit.observable_outputs(candidate.gate).iter().collect();
-        if obs_pos.is_empty() {
-            continue; // no observe point reachable: no flip can mispredict
-        }
-        for (_, base) in &sample_bases {
-            // If the defect were the stuck-at that explains the failures,
-            // a passing pattern with the same good value and an observable
-            // output would have failed too.
-            if base[out.index()] == fail_v {
-                let changed =
-                    propagator.propagate_within(circuit, base, &[(out, !fail_v)], &obs_pos);
-                if !changed.is_empty() {
-                    candidate.mispredicts += 1;
-                }
+        let fail_v = fail_value[candidate.gate.index()];
+        let observable = circuit.observable_outputs(candidate.gate);
+        for (w, &lanes) in sample.iter().enumerate() {
+            let good_out = good.word(out, w);
+            let flip = lanes & if fail_v { good_out } else { !good_out };
+            if flip != 0 {
+                sim.propagate_word(circuit, good, w, out, good_out ^ flip);
+                let observed = sim.observed(circuit, good, w, observable) & flip;
+                candidate.mispredicts += observed.count_ones() as usize;
             }
         }
     }
+    sim.observe();
 
     candidates.sort_by(|a, b| b.rank_key().cmp(&a.rank_key()).then(a.gate.cmp(&b.gate)));
 
@@ -768,6 +758,32 @@ mod tests {
             assert_eq!(diag.multiplet, multiplet, "options {options:?}");
             assert_eq!(diag.unexplained, unexplained, "options {options:?}");
         }
+    }
+
+    #[test]
+    fn oversized_pattern_header_is_a_typed_error() {
+        let lib = lib();
+        let c = circuit(&lib);
+        let u1 = c.find_gate("U1").unwrap();
+        let faulty = FaultyGate::new(u1, FaultyBehavior::Static(TruthTable::from_fn(2, |_| true)));
+        let pats = all_patterns4();
+        let mut log = run_test(&c, &pats, &faulty).unwrap();
+        let good = good_simulate(&c, &pats).unwrap();
+        // A parseable header claiming more patterns than were applied:
+        // its passing indices would run past the good simulation.
+        log.num_patterns = 200;
+        let expected = IntercellError::PatternCountExceeded {
+            claimed: 200,
+            applied: 16,
+        };
+        assert_eq!(diagnose(&c, &pats, &log), Err(expected.clone()));
+        assert_eq!(
+            crate::extract_local_patterns_with_good(&c, &pats, &log, u1, &good),
+            Err(expected)
+        );
+        // A header at or below the applied count is accepted.
+        log.num_patterns = 16;
+        assert!(diagnose(&c, &pats, &log).is_ok());
     }
 
     #[test]

@@ -13,6 +13,14 @@ pub enum IntercellError {
     /// The datalog references an observe-point index outside the circuit's
     /// output list.
     BadOutputIndex(usize),
+    /// The datalog's header claims more patterns than were applied, so
+    /// its passing patterns would index past the good simulation.
+    PatternCountExceeded {
+        /// The datalog's `patterns` header.
+        claimed: usize,
+        /// Patterns actually applied.
+        applied: usize,
+    },
 }
 
 impl fmt::Display for IntercellError {
@@ -28,6 +36,10 @@ impl fmt::Display for IntercellError {
                     "datalog references output {i} outside the circuit interface"
                 )
             }
+            IntercellError::PatternCountExceeded { claimed, applied } => write!(
+                f,
+                "datalog claims {claimed} patterns but only {applied} were applied"
+            ),
         }
     }
 }

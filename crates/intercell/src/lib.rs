@@ -73,3 +73,27 @@ pub use local::{
     extract_local_patterns, extract_local_patterns_with_good, DefectClassHint, LocalPattern,
     LocalPatterns,
 };
+
+use icd_faultsim::{BitValues, Datalog};
+use icd_logic::Pattern;
+
+/// Rejects a datalog whose header claims more patterns than were applied:
+/// its passing patterns would index past the good simulation.
+fn check_pattern_count(datalog: &Datalog, patterns: &[Pattern]) -> Result<(), IntercellError> {
+    if datalog.num_patterns > patterns.len() {
+        return Err(IntercellError::PatternCountExceeded {
+            claimed: datalog.num_patterns,
+            applied: patterns.len(),
+        });
+    }
+    Ok(())
+}
+
+/// The pattern indices `lanes` as one 64-lane mask per word of `good`.
+fn lane_words(good: &BitValues, lanes: impl IntoIterator<Item = usize>) -> Vec<u64> {
+    let mut words = vec![0u64; good.words_per_net()];
+    for t in lanes {
+        words[t / 64] |= 1u64 << (t % 64);
+    }
+    words
+}

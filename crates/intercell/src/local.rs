@@ -1,8 +1,8 @@
-use icd_faultsim::{good_simulate, Datalog, DiffPropagator};
-use icd_logic::{Lv, Pattern};
-use icd_netlist::{Circuit, GateId, NetId};
+use icd_faultsim::{good_simulate, Datalog, EventSim};
+use icd_logic::Pattern;
+use icd_netlist::{Circuit, GateId};
 
-use crate::IntercellError;
+use crate::{check_pattern_count, lane_words, IntercellError};
 
 /// The values a suspected gate sees under one circuit pattern: the current
 /// cell-input vector and the previous one (needed for dynamic faulty
@@ -74,8 +74,10 @@ impl LocalPatterns {
 ///
 /// # Errors
 ///
-/// Returns an error when the datalog references unknown patterns or the
-/// patterns are malformed.
+/// Returns an error when the datalog references unknown patterns, claims
+/// more patterns than were applied
+/// ([`IntercellError::PatternCountExceeded`]), or the patterns are
+/// malformed.
 pub fn extract_local_patterns(
     circuit: &Circuit,
     patterns: &[Pattern],
@@ -99,9 +101,12 @@ pub fn extract_local_patterns_with_good(
     gate: GateId,
     good: &icd_faultsim::BitValues,
 ) -> Result<LocalPatterns, IntercellError> {
-    let out = circuit.gate_output(gate);
-
-    let local_at = |t: usize| -> Vec<bool> { good.gate_input_bits(circuit, gate, t) };
+    check_pattern_count(datalog, patterns)?;
+    let local_at = |t: usize| LocalPattern {
+        pattern_index: t,
+        inputs: good.gate_input_bits(circuit, gate, t),
+        previous: good.gate_input_bits(circuit, gate, t.saturating_sub(1)),
+    };
 
     // Observe points structurally reachable from the gate's output: a
     // failure elsewhere cannot have been caused by this gate. Under the
@@ -109,28 +114,7 @@ pub fn extract_local_patterns_with_good(
     // suspected gate's cone anyway; with multiple simultaneous defects
     // this filter keeps the other defects' failures from polluting this
     // gate's local failing set.
-    let reachable_outputs = {
-        let mut in_cone = vec![false; circuit.num_nets()];
-        in_cone[out.index()] = true;
-        let mut stack = vec![out];
-        while let Some(net) = stack.pop() {
-            for &g in circuit.fanout(net) {
-                let o = circuit.gate_output(g);
-                if !in_cone[o.index()] {
-                    in_cone[o.index()] = true;
-                    stack.push(o);
-                }
-            }
-        }
-        let set: std::collections::HashSet<usize> = circuit
-            .outputs()
-            .iter()
-            .enumerate()
-            .filter(|&(_, &n)| in_cone[n.index()])
-            .map(|(i, _)| i)
-            .collect();
-        set
-    };
+    let reachable = circuit.observable_outputs(gate);
 
     let mut lfp = Vec::new();
     // Failing patterns whose failures are all outside the cone behave as
@@ -142,43 +126,34 @@ pub fn extract_local_patterns_with_good(
         if t >= patterns.len() {
             return Err(IntercellError::BadPatternIndex(t));
         }
-        if entry
-            .failing_outputs
-            .iter()
-            .any(|o| reachable_outputs.contains(o))
-        {
-            lfp.push(LocalPattern {
-                pattern_index: t,
-                inputs: local_at(t),
-                previous: local_at(t.saturating_sub(1)),
-            });
+        if entry.failing_outputs.iter().any(|&o| reachable.contains(o)) {
+            lfp.push(local_at(t));
         } else {
             locally_passing.push(t);
         }
     }
 
-    let mut lpp = Vec::new();
-    let mut propagator = DiffPropagator::new(circuit);
+    // Observability check, 64 passing patterns per word: the gate output
+    // is flipped on every passing lane at once, and a lane is observed
+    // when its flip reaches an observe point.
     let mut passing: Vec<usize> = datalog.passing_pattern_indices();
     passing.extend(locally_passing);
     passing.sort_unstable();
-    for t in passing {
-        if t >= patterns.len() {
-            return Err(IntercellError::BadPatternIndex(t));
-        }
-        let base: Vec<Lv> = (0..circuit.num_nets())
-            .map(|i| Lv::from(good.value(NetId::from_index(i), t)))
-            .collect();
-        let flipped = !base[out.index()];
-        let changed = propagator.propagate(circuit, &base, &[(out, flipped)]);
-        if !changed.is_empty() {
-            lpp.push(LocalPattern {
-                pattern_index: t,
-                inputs: local_at(t),
-                previous: local_at(t.saturating_sub(1)),
-            });
+    let out = circuit.gate_output(gate);
+    let mut observed = lane_words(good, passing.iter().copied());
+    let mut sim = EventSim::new(circuit)?;
+    for (w, lanes) in observed.iter_mut().enumerate() {
+        if *lanes != 0 {
+            sim.propagate_word(circuit, good, w, out, good.word(out, w) ^ *lanes);
+            *lanes &= sim.observed(circuit, good, w, reachable);
         }
     }
+    sim.observe();
+    let lpp = passing
+        .into_iter()
+        .filter(|&t| observed[t / 64] >> (t % 64) & 1 == 1)
+        .map(local_at)
+        .collect();
 
     Ok(LocalPatterns { gate, lfp, lpp })
 }

@@ -103,6 +103,8 @@ pub(crate) struct Inner {
     epoch: Instant,
     metrics: Mutex<MetricsStore>,
     spans: Mutex<Vec<RawSpan>>,
+    /// Whether finished spans are kept for [`Collector::span_forest`].
+    keep_spans: bool,
 }
 
 impl Inner {
@@ -278,7 +280,9 @@ impl Drop for SpanGuard {
             if open.record_histogram {
                 inner.observe_us(open.name, duration_us, Stability::Stable);
             }
-            lock(&inner.spans).push(raw);
+            if inner.keep_spans {
+                lock(&inner.spans).push(raw);
+            }
         }
     }
 }
@@ -338,11 +342,24 @@ impl Default for Collector {
 impl Collector {
     /// A fresh, empty collector (not yet installed).
     pub fn new() -> Self {
+        Collector::with_spans(true)
+    }
+
+    /// A collector that records metrics (counters, gauges, stage
+    /// histograms) but drops finished spans, so its memory stays bounded
+    /// in a long-running process that never reads the span forest.
+    /// [`span_forest`](Collector::span_forest) is always empty.
+    pub fn metrics_only() -> Self {
+        Collector::with_spans(false)
+    }
+
+    fn with_spans(keep_spans: bool) -> Self {
         Collector {
             inner: Arc::new(Inner {
                 epoch: Instant::now(),
                 metrics: Mutex::default(),
                 spans: Mutex::default(),
+                keep_spans,
             }),
         }
     }

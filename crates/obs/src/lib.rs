@@ -155,6 +155,24 @@ mod tests {
     }
 
     #[test]
+    fn metrics_only_collector_keeps_histograms_but_no_spans() {
+        let _serial = serial();
+        let collector = Collector::metrics_only();
+        {
+            let _active = collector.install();
+            for _ in 0..3 {
+                let _root = span_with("t.request", &[("datalog", 0)]);
+                let _stage = stage("t.stage");
+                counter("t.requests", 1, Stability::Stable);
+            }
+        }
+        assert!(collector.span_forest().is_empty());
+        let snap = collector.snapshot();
+        assert_eq!(snap.histograms["t.stage"].count, 3);
+        assert_eq!(snap.counters["t.requests"].0, 3);
+    }
+
+    #[test]
     fn install_local_scopes_recording_to_the_calling_thread() {
         let _serial = serial();
         let local = Collector::new();

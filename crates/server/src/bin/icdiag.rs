@@ -734,7 +734,9 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
         ..ServerConfig::default()
     };
 
-    let collector = Collector::new();
+    // Metrics only: nothing reads the span forest of a daemon, and
+    // keeping every finished span would grow memory with each request.
+    let collector = Collector::metrics_only();
     let _guard = collector.install();
     let server = Server::bind(&addr, ctx, config).map_err(|e| format!("binding {addr}: {e}"))?;
     let bound = server

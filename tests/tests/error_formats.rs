@@ -136,6 +136,13 @@ fn intercell_error_formats() {
     assert_displays(&IntercellError::BadPatternIndex(9), false);
     assert_displays(&IntercellError::BadOutputIndex(9), false);
     assert_displays(
+        &IntercellError::PatternCountExceeded {
+            claimed: 200,
+            applied: 25,
+        },
+        false,
+    );
+    assert_displays(
         &IntercellError::Simulation(FaultSimError::UnknownInPattern { pattern: 2 }),
         true,
     );

@@ -1,16 +1,18 @@
 //! The pipeline-level no-panic guarantee: a datalog corrupted by any
 //! noise-model sequence — truncation, drops, spurious fails, flipped
-//! outputs — flows through sanitation, inter-cell diagnosis, local
-//! pattern extraction and intra-cell diagnosis without panicking, and the
-//! staged flow degrades gracefully instead of aborting.
+//! outputs, a mutated `patterns` header — flows through sanitation,
+//! inter-cell diagnosis, local pattern extraction and intra-cell
+//! diagnosis without panicking, and the staged flow degrades gracefully
+//! instead of aborting.
 
 #![allow(clippy::unwrap_used, clippy::panic)] // test code
 
 use std::sync::OnceLock;
 
-use icd_bench::{analyze_datalog_report, ExperimentContext};
+use icd_bench::{analyze_datalog_report, ExperimentContext, FlowError};
 use icd_core::LocalTest;
-use icd_faultsim::{run_test, Corruption, Datalog, FaultyGate, NoiseModel};
+use icd_faultsim::{datalog_text, run_test, Corruption, Datalog, FaultyGate, NoiseModel};
+use icd_intercell::IntercellError;
 use proptest::prelude::*;
 
 /// A small circuit with one excited defect, shared across cases (the
@@ -139,6 +141,41 @@ proptest! {
             };
             // Err (e.g. NoFailingPatterns) is fine; panics are not.
             let _ = icd_core::diagnose(cell.netlist(), &lfp, &lpp);
+        }
+    }
+
+    /// A mutated `patterns` header — below, at or past the applied count
+    /// — never panics parse → sanitize → diagnose: the text either fails
+    /// to parse (an entry past the header), or the flow answers, or a
+    /// header past the applied set is the typed `PatternCountExceeded`.
+    #[test]
+    fn pattern_header_mutation_never_panics(
+        seed in any::<u64>(),
+        corruptions in prop::collection::vec(arb_corruption(), 0..=2),
+        claimed in 0usize..=96,
+    ) {
+        let fx = fixture();
+        let noisy = NoiseModel { seed, corruptions }.apply(&fx.clean, fx.ctx.circuit.outputs().len());
+        let text = datalog_text::write(&noisy).replacen(
+            &format!("patterns {}\n", noisy.num_patterns),
+            &format!("patterns {claimed}\n"),
+            1,
+        );
+        let Ok(parsed) = datalog_text::parse(&text) else {
+            return Ok(()); // structured parse error
+        };
+        prop_assert_eq!(parsed.num_patterns, claimed);
+        let applied = fx.ctx.patterns.len();
+        match analyze_datalog_report(&fx.ctx, &parsed) {
+            Ok(report) => prop_assert!(
+                claimed <= applied || report.failing_patterns == 0,
+                "header {claimed} past {applied} patterns was diagnosed"
+            ),
+            Err(FlowError::Intercell(IntercellError::PatternCountExceeded {
+                claimed: c,
+                applied: a,
+            })) => prop_assert_eq!((c, a), (claimed, applied)),
+            Err(other) => prop_assert!(false, "unexpected error: {other}"),
         }
     }
 

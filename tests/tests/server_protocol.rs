@@ -11,11 +11,14 @@
 //!    daemon;
 //! 3. **graceful shutdown** — in-flight requests complete through a
 //!    drain, the accept loop refuses late arrivals, and `run` returns
-//!    `Clean` within its deadline.
+//!    `Clean` within its deadline;
+//! 4. **bounded daemon telemetry** — a datalog whose header claims more
+//!    patterns than the design applies is one typed error with no panic
+//!    retries, and the metrics-only serve collector keeps no spans.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -23,6 +26,7 @@ use icd_bench::flow::ExperimentContext;
 use icd_engine::{summarize_report, synthesize_batch, BatchConfig, BatchEngine, EngineConfig};
 use icd_faultsim::{datalog_text, Datalog};
 use icd_netlist::generator;
+use icd_obs::Collector;
 use icd_server::frame::{self, Frame, FrameType};
 use icd_server::{
     Client, ClientError, DrainOutcome, ErrorCode, ResponseStatus, Server, ServerConfig,
@@ -300,4 +304,116 @@ fn client_shutdown_frame_drains_the_daemon() {
     assert_eq!(response.summary, summaries[0]);
     client.shutdown_server().expect("shutdown acknowledged");
     assert_eq!(join.join().expect("server thread"), DrainOutcome::Clean);
+}
+
+/// Tests that install a process-global collector hold this, so one
+/// test's install can neither shadow nor restore over another's. The
+/// other tests here install nothing; their daemons' counters may land in
+/// an installed collector, which is why the assertions are lower bounds
+/// or counts no clean request can raise (panic retries).
+fn global_collector() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+#[test]
+fn oversized_pattern_header_is_one_typed_error_without_panic_retries() {
+    let _serial = global_collector();
+    let (ctx, batch, texts, summaries) = fixture();
+    let collector = Collector::new();
+    let _active = collector.install();
+    let (addr, handle, join) = start(Arc::clone(&ctx), quick_config());
+
+    // A parseable log of a failing device whose header claims more
+    // patterns than the design applies.
+    let mut oversized = batch
+        .iter()
+        .find(|d| !d.all_pass())
+        .expect("some device fails")
+        .clone();
+    oversized.num_patterns = ctx.patterns.len() + 175;
+    let mut stream = TcpStream::connect(addr).expect("connects");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    let request = Frame {
+        frame_type: FrameType::Request,
+        request_id: 9,
+        trace_id: None,
+        payload: frame::request_payload(0, &datalog_text::write(&oversized)),
+    };
+    stream
+        .write_all(&frame::encode(&request))
+        .expect("writes request");
+    let answer = frame::read_frame(&mut stream, frame::DEFAULT_MAX_PAYLOAD)
+        .expect("error frame decodes")
+        .expect("not EOF");
+    assert_eq!(answer.frame_type, FrameType::Error);
+    assert_eq!(answer.request_id, 9);
+    assert_eq!(answer.payload.first(), Some(&(ErrorCode::Internal as u8)));
+    let message = String::from_utf8_lossy(&answer.payload[1..]).into_owned();
+    assert!(message.contains("patterns"), "untyped message: {message}");
+    // Exactly one frame answered the request: the next round trip on the
+    // same connection reads its own Pong.
+    let ping = Frame {
+        frame_type: FrameType::Ping,
+        request_id: 10,
+        trace_id: None,
+        payload: Vec::new(),
+    };
+    stream
+        .write_all(&frame::encode(&ping))
+        .expect("writes ping");
+    let pong = frame::read_frame(&mut stream, frame::DEFAULT_MAX_PAYLOAD)
+        .expect("pong decodes")
+        .expect("not EOF");
+    assert_eq!(pong.request_id, 10);
+    assert_eq!(pong.frame_type, FrameType::Pong);
+
+    // The daemon keeps serving clean requests.
+    let mut client = Client::connect(addr, Duration::from_secs(30)).expect("connects");
+    let response = client.submit(&texts[0], 0).expect("clean request served");
+    assert_eq!(response.summary, summaries[0]);
+
+    handle.shutdown();
+    assert_eq!(join.join().expect("server thread"), DrainOutcome::Clean);
+    let retries = collector
+        .snapshot()
+        .counters
+        .get("server.retries_panic")
+        .map_or(0, |c| c.0);
+    assert_eq!(retries, 0, "the front stage panicked and was retried");
+}
+
+#[test]
+fn metrics_only_serve_collector_keeps_histograms_but_no_spans() {
+    let _serial = global_collector();
+    let (ctx, _batch, texts, summaries) = fixture();
+    // What `icdiag serve` installs.
+    let collector = Collector::metrics_only();
+    let _active = collector.install();
+    let (addr, handle, join) = start(Arc::clone(&ctx), quick_config());
+
+    let mut client = Client::connect(addr, Duration::from_secs(30)).expect("connects");
+    for (text, summary) in texts.iter().zip(&summaries) {
+        let response = client.submit(text, 0).expect("request served");
+        assert_eq!(&response.summary, summary);
+    }
+    handle.shutdown();
+    assert_eq!(join.join().expect("server thread"), DrainOutcome::Clean);
+
+    assert!(collector.span_forest().is_empty(), "serve kept spans");
+    let snap = collector.snapshot();
+    let sanitized = snap.histograms.get("flow.sanitize").map_or(0, |h| h.count);
+    assert!(
+        sanitized >= texts.len() as u64,
+        "flow.sanitize histogram holds {sanitized} samples for {} requests",
+        texts.len()
+    );
+    assert!(snap
+        .histograms
+        .keys()
+        .any(|k| k.starts_with("flow.intercell")));
 }
