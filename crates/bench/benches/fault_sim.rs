@@ -2,8 +2,8 @@
 //! throughput and single-fault detection, over circuit size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use icd_bench::pattern_set_for;
 use icd_cells::CellLibrary;
+use icd_engine::flow::pattern_set_for;
 use icd_faultsim::{detects, good_simulate, GateFault};
 use icd_netlist::generator;
 

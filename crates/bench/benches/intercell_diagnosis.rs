@@ -2,9 +2,9 @@
 //! extraction over circuit size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use icd_bench::pattern_set_for;
 use icd_cells::CellLibrary;
 use icd_defects::{sample_defects, MixConfig};
+use icd_engine::flow::pattern_set_for;
 use icd_faultsim::{run_test, FaultyGate};
 use icd_intercell::diagnose;
 use icd_netlist::generator;

@@ -3,7 +3,7 @@
 fn main() {
     let scale = icd_bench::RunScale::from_args();
     let mut failed = false;
-    let mut run = |name: &str, result: Result<String, icd_bench::FlowError>| match result {
+    let mut run = |name: &str, result: Result<String, icd_engine::flow::FlowError>| match result {
         Ok(s) => println!("{s}"),
         Err(e) => {
             eprintln!("{name} failed: {e}");

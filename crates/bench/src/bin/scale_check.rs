@@ -7,8 +7,9 @@
 
 use std::time::Instant;
 
-use icd_bench::flow::{analyze_datalog, ExperimentContext};
+use icd_bench::analyze_datalog;
 use icd_defects::{characterize, Defect};
+use icd_engine::flow::ExperimentContext;
 use icd_faultsim::{good_simulate, run_test, FaultyGate};
 use icd_netlist::generator;
 

@@ -7,10 +7,9 @@ use std::fmt::Write as _;
 use icd_cells::CellLibrary;
 use icd_core::{diagnose as intra_diagnose, transistor_cpt, LocalTest};
 use icd_defects::{characterize, classify, Defect};
+use icd_engine::flow::FlowError;
 use icd_logic::Lv;
 use icd_switch::Terminal;
-
-use crate::flow::FlowError;
 
 /// Fig. 1: the four example defects D1–D4 on the AO8DHVTX1 running
 /// example, swept over resistance, showing how the behaviour class moves

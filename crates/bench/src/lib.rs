@@ -20,11 +20,7 @@ pub mod noise_sweep;
 pub mod silicon;
 pub mod tables;
 
-pub use flow::{
-    analyze_datalog, analyze_datalog_report, analyze_suspect, pattern_set_for, run_flow,
-    run_flow_report, select_suspects, to_local_tests, ExperimentContext, FlowError, FlowOutcome,
-    FlowReport, FlowStage, SkippedGate,
-};
+pub use flow::{analyze_datalog, run_flow};
 
 /// Experiment sizing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

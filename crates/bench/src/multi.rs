@@ -7,10 +7,11 @@
 use std::fmt::Write as _;
 
 use icd_defects::{sample_defects, InjectedDefect, MixConfig};
+use icd_engine::flow::{ExperimentContext, FlowError};
 use icd_faultsim::{run_test_multi, FaultyGate};
 use icd_netlist::GateId;
 
-use crate::flow::{analyze_datalog, ground_truth_hit, ExperimentContext, FlowError};
+use crate::flow::{analyze_datalog, ground_truth_hit};
 
 /// Result of one multi-defect run.
 #[derive(Debug, Clone)]

@@ -16,11 +16,10 @@
 use std::fmt::Write as _;
 
 use icd_defects::MixConfig;
+use icd_engine::flow::{ExperimentContext, FlowError};
 use icd_faultsim::{run_test, Corruption, Datalog, FaultyGate, NoiseModel};
 use icd_intercell::{diagnose_with_options, DiagnoseOptions};
 use icd_netlist::{generator, GateId};
-
-use crate::flow::{ExperimentContext, FlowError};
 
 /// One seeded circuit/defect combo: a circuit, the defective gate, and the
 /// clean (uncorrupted) datalog its injected defect produces.

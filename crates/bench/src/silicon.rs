@@ -13,12 +13,13 @@ use icd_defects::{
     build_defect_dictionary, build_fault_dictionary, characterize, dictionary_diagnose, Defect,
     GroundTruth, InjectedDefect, ObservedTest,
 };
+use icd_engine::flow::{ExperimentContext, FlowError};
 use icd_faultsim::{run_test_gate_fault, FaultyBehavior, FaultyGate, GateFault};
 use icd_logic::Lv;
 use icd_netlist::generator;
 use icd_switch::{Forcing, Terminal};
 
-use crate::flow::{ground_truth_hit, run_flow, ExperimentContext, FlowError};
+use crate::flow::{ground_truth_hit, run_flow};
 use crate::RunScale;
 
 /// One silicon-style case study result.

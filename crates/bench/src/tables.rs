@@ -4,9 +4,10 @@ use std::fmt::Write as _;
 
 use icd_cells::TABLE5_CELL_NAMES;
 use icd_defects::{sample_defects, BehaviorClass, MixConfig};
+use icd_engine::flow::{ExperimentContext, FlowError};
 use icd_netlist::generator;
 
-use crate::flow::{ground_truth_hit, run_flow, ExperimentContext, FlowError};
+use crate::flow::{ground_truth_hit, run_flow};
 use crate::RunScale;
 
 /// Table 1: circuit characteristics (A and B).

@@ -64,7 +64,7 @@ impl CacheStats {
 #[derive(Debug, Default)]
 pub struct AnalysisCache {
     tables: TruthTableCache,
-    cpt: Vec<CptShard>,
+    cpt: [CptShard; CPT_SHARDS],
     cpt_hits: AtomicUsize,
     cpt_misses: AtomicUsize,
     packed: Mutex<HashMap<String, Arc<PackedEval>>>,
@@ -75,15 +75,7 @@ pub struct AnalysisCache {
 impl AnalysisCache {
     /// An empty cache.
     pub fn new() -> Self {
-        AnalysisCache {
-            tables: TruthTableCache::new(),
-            cpt: (0..CPT_SHARDS).map(|_| Mutex::default()).collect(),
-            cpt_hits: AtomicUsize::new(0),
-            cpt_misses: AtomicUsize::new(0),
-            packed: Mutex::default(),
-            packed_hits: AtomicUsize::new(0),
-            packed_misses: AtomicUsize::new(0),
-        }
+        AnalysisCache::default()
     }
 
     /// The cell's exhaustive truth table, derived once per cell type.
@@ -106,7 +98,7 @@ impl AnalysisCache {
         let mut h = DefaultHasher::new();
         cell.name().hash(&mut h);
         inputs.hash(&mut h);
-        let shard = &self.cpt[(h.finish() as usize) % self.cpt.len()];
+        let shard = &self.cpt[(h.finish() as usize) % CPT_SHARDS];
         let key = (cell.name().to_owned(), inputs.to_vec());
         if let Some(o) = lock(shard).get(&key) {
             self.cpt_hits.fetch_add(1, Ordering::Relaxed);
@@ -257,6 +249,25 @@ mod tests {
         let cache = AnalysisCache::new();
         assert!(cache.cpt(cell, &[Lv::One]).is_err());
         assert_eq!(cache.cpt_len(), 0);
+    }
+
+    #[test]
+    fn default_cache_serves_cpt_and_packed_lookups() {
+        let cells = CellLibrary::standard();
+        let cell = cells.get("AO7SVTX1").unwrap().netlist();
+        let cache = AnalysisCache::default();
+        let inputs = vec![Lv::One, Lv::Zero, Lv::Zero];
+        let cached = cache.cpt(cell, &inputs).unwrap();
+        assert_eq!(
+            cached.suspects,
+            transistor_cpt(cell, &inputs).unwrap().suspects
+        );
+        let packed = cache.packed_eval(cell).unwrap();
+        assert_eq!(
+            *packed,
+            PackedEval::from_table(&cell.truth_table().unwrap())
+        );
+        assert_eq!(cache.cpt_len(), 1);
     }
 
     #[test]

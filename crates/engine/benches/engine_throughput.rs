@@ -6,7 +6,9 @@
 //! wall-clock seconds, patterns/s, suspect-jobs/s and speedup vs one
 //! worker, plus the host's core count (speedup saturates at the physical
 //! parallelism — a single-core CI container reports ~1.0×, by design not
-//! a failure).
+//! a failure). Each sweep point is the fastest of [`PASSES`] timed
+//! passes (each on a cold cache), with the stage figures of that pass:
+//! one pass alone spread about 2× between runs on a 2-vCPU host.
 //!
 //! Results are only comparable across equally-parallel hosts, so a run
 //! on a *narrower* machine refuses to overwrite an existing
@@ -18,7 +20,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use icd_bench::flow::ExperimentContext;
+use icd_core::AnalysisCache;
+use icd_engine::flow::ExperimentContext;
 use icd_engine::{synthesize_batch, BatchConfig, BatchEngine, Collector, EngineConfig};
 use icd_faultsim::Datalog;
 use icd_netlist::generator;
@@ -27,6 +30,8 @@ const DIVISOR: usize = 400;
 const PATTERNS: usize = 64;
 const DATALOGS: usize = 8;
 const WORKER_SWEEP: [usize; 4] = [1, 2, 4, 8];
+/// Timed passes per sweep point; the fastest one is recorded.
+const PASSES: usize = 5;
 
 fn build_input() -> (Arc<ExperimentContext>, Vec<Datalog>) {
     let ctx = ExperimentContext::from_preset(&generator::circuit_b(), DIVISOR, PATTERNS)
@@ -59,14 +64,23 @@ fn sweep(ctx: &Arc<ExperimentContext>, batch: &[Datalog]) -> Vec<SweepPoint> {
         .iter()
         .map(|&workers| {
             let engine = BatchEngine::new(EngineConfig::with_workers(workers));
-            // Warm-up run, then the timed + observed run.
-            let _ = engine.diagnose_batch(ctx, batch).expect("batch runs");
-            let collector = Collector::new();
-            let t0 = Instant::now();
-            let report = engine
-                .diagnose_batch_observed(ctx, batch, Some(&collector))
+            // Warm-up run, then the timed + observed passes.
+            let _ = engine
+                .diagnose_batch(ctx, batch, &Arc::new(AnalysisCache::new()))
                 .expect("batch runs");
-            let seconds = t0.elapsed().as_secs_f64().max(1e-9);
+            let (seconds, report, collector) = (0..PASSES)
+                .map(|_| {
+                    let collector = Collector::new();
+                    let _recording = collector.install();
+                    let t0 = Instant::now();
+                    let report = engine
+                        .diagnose_batch(ctx, batch, &Arc::new(AnalysisCache::new()))
+                        .expect("batch runs");
+                    let seconds = t0.elapsed().as_secs_f64().max(1e-9);
+                    (seconds, report, collector)
+                })
+                .min_by(|a, b| a.0.total_cmp(&b.0))
+                .expect("at least one pass");
             let applied = (batch.len() * ctx.patterns.len()) as f64;
             let stages = collector
                 .snapshot()
@@ -162,7 +176,8 @@ fn write_json(points: &[SweepPoint]) {
 fn bench_engine(c: &mut Criterion) {
     let (ctx, batch) = build_input();
 
-    // The machine-readable sweep first: one timed run per worker count.
+    // The machine-readable sweep first: the fastest of PASSES timed runs
+    // per worker count.
     let points = sweep(&ctx, &batch);
     write_json(&points);
 
@@ -176,7 +191,11 @@ fn bench_engine(c: &mut Criterion) {
             BenchmarkId::new("workers", workers),
             &(&ctx, &batch),
             |b, (ctx, batch)| {
-                b.iter(|| engine.diagnose_batch(ctx, batch).expect("batch runs"));
+                b.iter(|| {
+                    engine
+                        .diagnose_batch(ctx, batch, &Arc::new(AnalysisCache::new()))
+                        .expect("batch runs")
+                });
             },
         );
     }

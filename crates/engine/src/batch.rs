@@ -10,9 +10,10 @@
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
-use icd_bench::flow::{ExperimentContext, FlowError};
 use icd_defects::{sample_defects, MixConfig};
 use icd_faultsim::{run_test_multi, Datalog, FaultyGate};
+
+use crate::flow::{ExperimentContext, FlowError};
 
 /// How a synthesized batch is composed.
 #[derive(Debug, Clone)]

@@ -1,7 +1,7 @@
 //! Cooperative cancellation for diagnosis jobs.
 //!
-//! The batch engine and the diagnosis server both need to abandon work
-//! that is no longer wanted — a request whose deadline expired, a client
+//! The diagnosis service behind the server needs to abandon work that
+//! is no longer wanted — a request whose deadline expired, a client
 //! that disconnected, a daemon draining for shutdown — without ever
 //! interrupting a worker mid-computation. A [`CancelToken`] is the
 //! `Arc`-shared flag that carries that intent: jobs check it at their
@@ -15,7 +15,7 @@
 //! [`CancelToken::cancel`] — the per-request deadline and the explicit
 //! abort share one code path.
 //!
-//! [`FlowError::Cancelled`]: icd_bench::flow::FlowError::Cancelled
+//! [`FlowError::Cancelled`]: crate::flow::FlowError::Cancelled
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -7,16 +7,15 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use icd_bench::flow::{
-    analyze_suspect, select_suspects, ExperimentContext, FlowError, FlowReport, FlowStage,
-    GateAnalysis, SkippedGate,
-};
 use icd_core::{AnalysisCache, CacheStats};
 use icd_faultsim::Datalog;
 use icd_intercell::IntercellDiagnosis;
 use icd_netlist::GateId;
 
-use crate::cancel::CancelToken;
+use crate::flow::{
+    analyze_suspect, select_suspects, ExperimentContext, FlowError, FlowReport, FlowStage,
+    GateAnalysis, SkippedGate,
+};
 use crate::pool::WorkerPool;
 
 /// Engine sizing.
@@ -295,7 +294,7 @@ pub(crate) fn front_stage(
 
 /// The parallel batch-diagnosis engine.
 ///
-/// Wraps the staged flow of `icd-bench` in a job graph executed on a
+/// Wraps the staged flow of [`crate::flow`] in a job graph executed on a
 /// [`WorkerPool`]: per datalog a front-end job (sanitize → escape check →
 /// inter-cell diagnosis → suspect selection), then per suspected gate an
 /// independent analysis job sharing the `Arc`-held context, good-machine
@@ -321,6 +320,20 @@ impl BatchEngine {
 
     /// Diagnoses a batch of datalogs against one shared context.
     ///
+    /// `cache` is strictly transparent (identical reports warm or cold):
+    /// pass a fresh one for a self-contained batch, or carry one —
+    /// possibly preloaded from an on-disk snapshot — across many batches
+    /// of the same design to skip the per-cell-type truth-table
+    /// derivations. The reported [`BatchStats`] and `cache.*` counters
+    /// cover the cache's whole lifetime, not just this batch.
+    ///
+    /// To observe a run, install an [`icd_obs::Collector`] around the
+    /// call: every job then executes under a span carrying its merge
+    /// identity (`batch.front` with a `datalog` attribute,
+    /// `batch.suspect` with `datalog` and `slot`), and the run's cache,
+    /// set-cover and pool health counters are recorded before the pool
+    /// is joined.
+    ///
     /// # Errors
     ///
     /// Returns an error only when the batch-wide good-machine simulation
@@ -330,87 +343,8 @@ impl BatchEngine {
         &self,
         ctx: &Arc<ExperimentContext>,
         datalogs: &[Datalog],
-    ) -> Result<BatchReport, FlowError> {
-        self.diagnose_batch_observed(ctx, datalogs, None)
-    }
-
-    /// [`diagnose_batch`](BatchEngine::diagnose_batch) with observability
-    /// attached: when `collector` is given it is installed for the whole
-    /// run, every job executes under a span carrying its merge identity
-    /// (`batch.front` with a `datalog` attribute, `batch.suspect` with
-    /// `datalog` and `slot`), and the run's cache, set-cover and pool
-    /// health counters are recorded into it before the pool is joined.
-    ///
-    /// # Errors
-    ///
-    /// As [`diagnose_batch`](BatchEngine::diagnose_batch).
-    pub fn diagnose_batch_observed(
-        &self,
-        ctx: &Arc<ExperimentContext>,
-        datalogs: &[Datalog],
-        collector: Option<&icd_obs::Collector>,
-    ) -> Result<BatchReport, FlowError> {
-        self.diagnose_batch_cancellable(ctx, datalogs, collector, &CancelToken::new())
-    }
-
-    /// [`diagnose_batch_observed`](BatchEngine::diagnose_batch_observed)
-    /// under a cooperative [`CancelToken`]: the token is checked at every
-    /// job boundary (before each datalog's front stage and before each
-    /// per-suspect analysis). Once it reports cancelled — explicitly or
-    /// through its deadline — not-yet-started front jobs resolve to
-    /// [`JobError::Flow`]`(`[`FlowError::Cancelled`]`)`, not-yet-started
-    /// suspect jobs become [`SkippedGate`]s carrying
-    /// [`FlowError::Cancelled`], and already-running work finishes
-    /// normally. A cancelled job never poisons the pool: the merge loop
-    /// still drains every outstanding result, so the returned report
-    /// accounts for every datalog.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError::Cancelled`] when the token is already
-    /// cancelled before the batch-wide good-machine simulation starts;
-    /// otherwise as [`diagnose_batch`](BatchEngine::diagnose_batch).
-    pub fn diagnose_batch_cancellable(
-        &self,
-        ctx: &Arc<ExperimentContext>,
-        datalogs: &[Datalog],
-        collector: Option<&icd_obs::Collector>,
-        token: &CancelToken,
-    ) -> Result<BatchReport, FlowError> {
-        self.diagnose_batch_with_cache(
-            ctx,
-            datalogs,
-            collector,
-            token,
-            &Arc::new(AnalysisCache::new()),
-        )
-    }
-
-    /// [`diagnose_batch_cancellable`](BatchEngine::diagnose_batch_cancellable)
-    /// with a caller-owned [`AnalysisCache`] instead of a batch-private
-    /// one. The cache is strictly transparent (identical reports warm or
-    /// cold), so a volume run can carry one cache — possibly preloaded
-    /// from an on-disk snapshot — across many batches of the same design
-    /// and skip the per-cell-type truth-table derivations entirely.
-    ///
-    /// The reported [`BatchStats`] and observed `cache.*` counters cover
-    /// the cache's whole lifetime, not just this batch.
-    ///
-    /// # Errors
-    ///
-    /// As [`diagnose_batch_cancellable`](BatchEngine::diagnose_batch_cancellable).
-    pub fn diagnose_batch_with_cache(
-        &self,
-        ctx: &Arc<ExperimentContext>,
-        datalogs: &[Datalog],
-        collector: Option<&icd_obs::Collector>,
-        token: &CancelToken,
         cache: &Arc<AnalysisCache>,
     ) -> Result<BatchReport, FlowError> {
-        let _recording = collector.map(icd_obs::Collector::install);
-        if token.is_cancelled() {
-            return Err(FlowError::Cancelled);
-        }
         let t0 = Instant::now();
         let good = {
             let _s = icd_obs::stage("batch.good_simulate");
@@ -428,18 +362,14 @@ impl BatchEngine {
             let good = Arc::clone(&good);
             let job_tx = tx.clone();
             let datalog = datalog.clone();
-            let token = token.clone();
             pool.submit(Box::new(move || {
                 let job_t0 = Instant::now();
                 let _span = icd_obs::span_with("batch.front", &[("datalog", index as u64)]);
-                let output = if token.is_cancelled() {
-                    Err(JobError::Flow(FlowError::Cancelled))
-                } else {
+                let output =
                     match catch_unwind(AssertUnwindSafe(|| front_stage(&ctx, &good, &datalog))) {
                         Ok(r) => r,
                         Err(p) => Err(JobError::Panicked(panic_message(p))),
-                    }
-                };
+                    };
                 let _ = job_tx.send(Message::Front {
                     index,
                     output,
@@ -506,34 +436,28 @@ impl BatchEngine {
                                 let cache = Arc::clone(&cache);
                                 let shared = Arc::clone(&shared);
                                 let job_tx = tx.clone();
-                                let token = token.clone();
                                 pool.submit(Box::new(move || {
                                     let job_t0 = Instant::now();
                                     let _span = icd_obs::span_with(
                                         "batch.suspect",
                                         &[("datalog", index as u64), ("slot", slot as u64)],
                                     );
-                                    let result =
-                                        if token.is_cancelled() {
-                                            Err((FlowStage::Worker, FlowError::Cancelled))
-                                        } else {
-                                            catch_unwind(AssertUnwindSafe(|| {
-                                                analyze_suspect(
-                                                    &ctx,
-                                                    &shared.datalog,
-                                                    &shared.inter,
-                                                    &good,
-                                                    gate,
-                                                    Some(&cache),
-                                                )
-                                            }))
-                                            .unwrap_or_else(|p| {
-                                                Err((
-                                                    FlowStage::Worker,
-                                                    FlowError::Panicked(panic_message(p)),
-                                                ))
-                                            })
-                                        };
+                                    let result = catch_unwind(AssertUnwindSafe(|| {
+                                        analyze_suspect(
+                                            &ctx,
+                                            &shared.datalog,
+                                            &shared.inter,
+                                            &good,
+                                            gate,
+                                            Some(&cache),
+                                        )
+                                    }))
+                                    .unwrap_or_else(|p| {
+                                        Err((
+                                            FlowStage::Worker,
+                                            FlowError::Panicked(panic_message(p)),
+                                        ))
+                                    });
                                     let _ = job_tx.send(Message::Suspect {
                                         index,
                                         slot,

@@ -1,10 +1,16 @@
-//! Parallel batch-diagnosis engine over the staged diagnosis flow.
+//! The per-datalog diagnosis flow and a parallel batch-diagnosis engine
+//! over it.
+//!
+//! [`flow`] is the paper's Fig. 2 for one datalog: sanitize, inter-cell
+//! diagnosis, then local pattern extraction, intra-cell CPT and ranking
+//! for each suspected gate, with per-suspect failures recorded in a
+//! [`FlowReport`] instead of aborting it.
 //!
 //! The paper's volume-diagnosis setting is inherently batch-shaped: one
 //! design, one test set, thousands of failing-device datalogs. This crate
-//! turns `icd_bench::flow`'s staged per-datalog flow into a job graph and
-//! executes it on a std-only work-stealing thread pool (the build
-//! environment has no registry access, so no `rayon`):
+//! turns the staged flow into a job graph and executes it on a std-only
+//! work-stealing thread pool (the build environment has no registry
+//! access, so no `rayon`):
 //!
 //! * **job graph** — per datalog a *front* job (sanitize → test-escape
 //!   check → inter-cell diagnosis → suspect selection), then per
@@ -24,26 +30,25 @@
 //! * **deterministic merging** — results are placed by (datalog index,
 //!   suspect slot), so the merged [`BatchReport`] is byte-identical for
 //!   any worker count and any scheduling order;
-//! * **cooperative cancellation** — a [`CancelToken`] (explicit or
-//!   deadline-armed) threads through
-//!   [`BatchEngine::diagnose_batch_cancellable`] and
-//!   [`DiagnosisService::diagnose_streamed`]; it is checked at job
-//!   boundaries only, so cancelled work surfaces as
-//!   [`FlowError::Cancelled`] results and never poisons the pool;
 //! * **a long-lived streaming form** — [`DiagnosisService`] keeps one
-//!   pool, good simulation and cache alive across many requests and
-//!   streams per-suspect completions incrementally (the execution core
-//!   of the `icd-server` daemon);
-//! * **observability** — [`BatchEngine::diagnose_batch_observed`]
-//!   attaches an [`icd_obs`] [`Collector`] to a run: per-job spans keyed
-//!   by merge identity, per-stage latency histograms, cache/set-cover
-//!   counters and pool health (queue depth, steals, per-worker
-//!   busy/idle). The span forest and the redacted metrics snapshot are
-//!   byte-identical at any worker count.
+//!   pool, good simulation and cache alive across many requests, streams
+//!   per-suspect completions incrementally (the execution core of the
+//!   `icd-server` daemon) and honours a cooperative [`CancelToken`]
+//!   (explicit or deadline-armed) checked at job boundaries, so
+//!   cancelled work surfaces as [`FlowError::Cancelled`] results and
+//!   never poisons the pool;
+//! * **observability** — with an [`icd_obs`] [`Collector`] installed
+//!   around [`BatchEngine::diagnose_batch`], every job runs under a span
+//!   keyed by its merge identity, and the run records per-stage latency
+//!   histograms, cache/set-cover counters and pool health (queue depth,
+//!   steals, per-worker busy/idle). The span forest and the redacted
+//!   metrics snapshot are byte-identical at any worker count.
 //!
 //! ```
-//! use icd_bench::flow::ExperimentContext;
-//! use icd_engine::{BatchEngine, EngineConfig};
+//! use std::sync::Arc;
+//!
+//! use icd_core::AnalysisCache;
+//! use icd_engine::{BatchEngine, EngineConfig, ExperimentContext};
 //! use icd_netlist::generator;
 //!
 //! let ctx = ExperimentContext::from_preset(&generator::circuit_a(), 1, 25)
@@ -56,7 +61,8 @@
 //!     entries: vec![],
 //! };
 //! let engine = BatchEngine::new(EngineConfig::with_workers(2));
-//! let batch = engine.diagnose_batch(&ctx, &[escape]).unwrap();
+//! let cache = Arc::new(AnalysisCache::new());
+//! let batch = engine.diagnose_batch(&ctx, &[escape], &cache).unwrap();
 //! assert!(batch.outcomes[0].report.as_ref().unwrap().is_escape());
 //! ```
 
@@ -67,6 +73,7 @@
 mod batch;
 mod cancel;
 mod engine;
+pub mod flow;
 mod pool;
 mod service;
 
@@ -77,7 +84,7 @@ pub use pool::{Job, PoolMetrics, WorkerPool};
 pub use service::{summarize_report, DiagnosisService, ServiceError, StreamEvent};
 
 // Convenience re-exports: everything a caller needs to build a batch.
-pub use icd_bench::flow::{ExperimentContext, FlowError, FlowReport, FlowStage, SkippedGate};
+pub use flow::{ExperimentContext, FlowError, FlowReport, FlowStage, SkippedGate};
 pub use icd_obs::{Collector, MetricsSnapshot};
 
 #[cfg(test)]

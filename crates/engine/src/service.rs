@@ -34,15 +34,15 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use icd_bench::flow::{
-    analyze_suspect, ExperimentContext, FlowError, FlowReport, FlowStage, GateAnalysis,
-};
 use icd_core::AnalysisCache;
 use icd_faultsim::Datalog;
 use icd_netlist::GateId;
 
 use crate::cancel::CancelToken;
 use crate::engine::{front_stage, panic_message, FrontOutput, JobError, Pending};
+use crate::flow::{
+    analyze_suspect, ExperimentContext, FlowError, FlowReport, FlowStage, GateAnalysis,
+};
 use crate::pool::WorkerPool;
 
 /// Why a streamed request produced no report.
@@ -89,7 +89,7 @@ pub enum StreamEvent<'a> {
         /// The analyzed gate.
         gate: GateId,
         /// Whether the analysis succeeded (a failure becomes a
-        /// [`SkippedGate`](icd_bench::flow::SkippedGate) in the report).
+        /// [`SkippedGate`](crate::flow::SkippedGate) in the report).
         ok: bool,
     },
 }
@@ -435,7 +435,7 @@ mod tests {
         let (service, batch) = service_fixture();
         let engine = BatchEngine::new(EngineConfig::with_workers(1));
         let reference = engine
-            .diagnose_batch(service.context(), &batch)
+            .diagnose_batch(service.context(), &batch, &Default::default())
             .expect("batch runs");
         for (i, datalog) in batch.iter().enumerate() {
             let mut suspects_seen = 0usize;

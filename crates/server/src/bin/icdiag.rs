@@ -77,8 +77,8 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use icd_bench::flow::{pattern_set_for, ExperimentContext, FlowError};
 use icd_cells::CellLibrary;
+use icd_engine::flow::{pattern_set_for, ExperimentContext, FlowError};
 use icd_engine::{
     summarize_report, synthesize_batch, BatchConfig, BatchEngine, Collector, EngineConfig,
 };
@@ -127,20 +127,26 @@ fn main() -> ExitCode {
     let Some(command) = args.first() else {
         return usage();
     };
-    match command.as_str() {
-        "gen" => cmd_gen(&args[1..]),
-        "run" => cmd_run(&args[1..]),
-        "volume" => cmd_volume(&args[1..]),
-        "serve" => cmd_serve(&args[1..]),
-        "submit" => cmd_submit(&args[1..]),
-        "submit-volume" => cmd_submit_volume(&args[1..]),
-        "stats" => cmd_stats(&args[1..]),
-        "top" => cmd_top(&args[1..]),
-        "benchdiff" => cmd_benchdiff(&args[1..]),
-        "shutdown" => cmd_shutdown(&args[1..]),
-        "check-metrics" => cmd_check_metrics(&args[1..]),
-        _ => usage(),
-    }
+    // Each subcommand returns its exit code, or an operational error that
+    // is reported as `icdiag <cmd>: <error>` with exit 1.
+    let run_command: fn(&[String]) -> Result<ExitCode, String> = match command.as_str() {
+        "gen" => gen,
+        "run" => run,
+        "volume" => volume,
+        "serve" => serve,
+        "submit" => submit,
+        "submit-volume" => submit_volume,
+        "stats" => stats,
+        "top" => top,
+        "benchdiff" => benchdiff,
+        "shutdown" => shutdown,
+        "check-metrics" => check_metrics,
+        _ => return usage(),
+    };
+    run_command(&args[1..]).unwrap_or_else(|e| {
+        eprintln!("icdiag {command}: {e}");
+        ExitCode::FAILURE
+    })
 }
 
 /// Parses `--flag value` pairs; names in `boolean` take no value and
@@ -204,17 +210,7 @@ fn parse_trace_id(text: &str) -> Result<u64, String> {
     Ok(id)
 }
 
-fn cmd_gen(args: &[String]) -> ExitCode {
-    match gen(args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("icdiag gen: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn gen(args: &[String]) -> Result<(), String> {
+fn gen(args: &[String]) -> Result<ExitCode, String> {
     let (dir, flags) = parse_flags(args, &[])?;
     let devices: usize = flag(&flags, "devices", 8)?;
     let seed: u64 = flag(&flags, "seed", 0x1cd1a6)?;
@@ -281,7 +277,7 @@ fn gen(args: &[String]) -> Result<(), String> {
     if !planted_lines.is_empty() {
         print!("{planted_lines}");
     }
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
 fn read_manifest(dir: &Path) -> Result<(usize, u64), String> {
@@ -328,16 +324,6 @@ fn load_context(dir: &Path) -> Result<Arc<ExperimentContext>, String> {
         circuit,
         patterns,
     }))
-}
-
-fn cmd_run(args: &[String]) -> ExitCode {
-    match run(args) {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("icdiag run: {e}");
-            ExitCode::FAILURE
-        }
-    }
 }
 
 fn run(args: &[String]) -> Result<ExitCode, String> {
@@ -412,9 +398,11 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             icd_obs::Stability::Stable,
         );
     }
-    let batch = engine
-        .diagnose_batch_observed(&ctx, &datalogs, Some(&collector))
-        .map_err(|e| format!("batch diagnosis: {e}"))?;
+    let batch = {
+        let _recording = collector.install();
+        engine.diagnose_batch(&ctx, &datalogs, &Default::default())
+    }
+    .map_err(|e| format!("batch diagnosis: {e}"))?;
 
     // Degraded: a whole datalog failed, or a suspect was skipped for a
     // reason other than the routine "no local failing patterns".
@@ -500,16 +488,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     } else {
         ExitCode::SUCCESS
     })
-}
-
-fn cmd_volume(args: &[String]) -> ExitCode {
-    match volume(args) {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("icdiag volume: {e}");
-            ExitCode::FAILURE
-        }
-    }
 }
 
 /// Loads every `*.log` in `dir` in name order, returning the parsed
@@ -678,16 +656,6 @@ fn volume(args: &[String]) -> Result<ExitCode, String> {
     )
 }
 
-fn cmd_serve(args: &[String]) -> ExitCode {
-    match serve(args) {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("icdiag serve: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 fn serve(args: &[String]) -> Result<ExitCode, String> {
     let (dir, flags) = parse_flags(args, &[])?;
     let addr: String = flag(&flags, "addr", "127.0.0.1:0".to_owned())?;
@@ -756,16 +724,6 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
     })
 }
 
-fn cmd_submit(args: &[String]) -> ExitCode {
-    match submit(args) {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("icdiag submit: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 fn submit(args: &[String]) -> Result<ExitCode, String> {
     let [addr, file, rest @ ..] = args else {
         return Err(
@@ -802,16 +760,6 @@ fn submit(args: &[String]) -> Result<ExitCode, String> {
         ResponseStatus::Ok => ExitCode::SUCCESS,
         ResponseStatus::Degraded => ExitCode::from(3),
     })
-}
-
-fn cmd_submit_volume(args: &[String]) -> ExitCode {
-    match submit_volume(args) {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("icdiag submit-volume: {e}");
-            ExitCode::FAILURE
-        }
-    }
 }
 
 fn submit_volume(args: &[String]) -> Result<ExitCode, String> {
@@ -862,17 +810,7 @@ fn submit_volume(args: &[String]) -> Result<ExitCode, String> {
     })
 }
 
-fn cmd_stats(args: &[String]) -> ExitCode {
-    match stats(args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("icdiag stats: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn stats(args: &[String]) -> Result<(), String> {
+fn stats(args: &[String]) -> Result<ExitCode, String> {
     let Some(addr) = args.first() else {
         return Err("usage: icdiag stats <addr>".to_owned());
     };
@@ -883,23 +821,13 @@ fn stats(args: &[String]) -> Result<(), String> {
         .map_err(|e| format!("fetching stats from {addr}: {e}"))?;
     // The StatsReport payload is already the canonical JSON snapshot.
     print!("{snapshot}");
-    Ok(())
-}
-
-fn cmd_top(args: &[String]) -> ExitCode {
-    match top(args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("icdiag top: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// A dashboard line per poll: totals, queue/in-flight gauges, and the
 /// windowed request percentiles. `--count 0` polls until the daemon
 /// goes away.
-fn top(args: &[String]) -> Result<(), String> {
+fn top(args: &[String]) -> Result<ExitCode, String> {
     let [addr, rest @ ..] = args else {
         return Err("usage: icdiag top <addr> [--interval-ms N] [--count N]".to_owned());
     };
@@ -964,19 +892,9 @@ fn top(args: &[String]) -> Result<(), String> {
         );
         polls += 1;
         if count > 0 && polls >= count {
-            return Ok(());
+            return Ok(ExitCode::SUCCESS);
         }
         std::thread::sleep(Duration::from_millis(interval_ms));
-    }
-}
-
-fn cmd_benchdiff(args: &[String]) -> ExitCode {
-    match benchdiff(args) {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("icdiag benchdiff: {e}");
-            ExitCode::FAILURE
-        }
     }
 }
 
@@ -1003,17 +921,7 @@ fn benchdiff(args: &[String]) -> Result<ExitCode, String> {
     })
 }
 
-fn cmd_shutdown(args: &[String]) -> ExitCode {
-    match shutdown(args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("icdiag shutdown: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn shutdown(args: &[String]) -> Result<(), String> {
+fn shutdown(args: &[String]) -> Result<ExitCode, String> {
     let Some(addr) = args.first() else {
         return Err("usage: icdiag shutdown <addr>".to_owned());
     };
@@ -1023,26 +931,13 @@ fn shutdown(args: &[String]) -> Result<(), String> {
         .shutdown_server()
         .map_err(|e| format!("shutting down {addr}: {e}"))?;
     println!("icdiag shutdown: server draining");
-    Ok(())
-}
-
-fn cmd_check_metrics(args: &[String]) -> ExitCode {
-    match check_metrics(args) {
-        Ok(summary) => {
-            println!("{summary}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("icdiag check-metrics: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Offline validation of a `--metrics-out` file: well-formed JSON, the
 /// expected counter/gauge/histogram keys, and internally consistent
 /// histograms (bucket counts summing to the sample count).
-fn check_metrics(args: &[String]) -> Result<String, String> {
+fn check_metrics(args: &[String]) -> Result<ExitCode, String> {
     let path = args.first().ok_or("missing <file>")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let root = icd_obs::json::parse(&text)
@@ -1118,8 +1013,6 @@ fn check_metrics(args: &[String]) -> Result<String, String> {
     if stage_histograms == 0 {
         return Err(format!("{path}: no flow.* stage histograms recorded"));
     }
-    Ok(format!(
-        "{path}: ok ({} flow stage histograms)",
-        stage_histograms
-    ))
+    println!("{path}: ok ({stage_histograms} flow stage histograms)");
+    Ok(ExitCode::SUCCESS)
 }

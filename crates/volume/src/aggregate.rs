@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 
-use icd_bench::flow::{ExperimentContext, FlowReport};
+use icd_engine::flow::{ExperimentContext, FlowReport};
 use icd_netlist::ContentHash;
 
 use crate::report::{permille, RootCause, RootCauseKind, VolumeReport};
@@ -231,7 +231,7 @@ pub fn assemble_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use icd_bench::flow::analyze_datalog_report;
+    use icd_engine::flow::analyze_datalog_report;
     use icd_faultsim::{run_test_multi, FaultyGate};
     use icd_logic::Lv;
     use icd_netlist::generator;

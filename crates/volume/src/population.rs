@@ -15,8 +15,8 @@
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
-use icd_bench::flow::{ExperimentContext, FlowError};
 use icd_defects::{sample_defects, MixConfig};
+use icd_engine::flow::{ExperimentContext, FlowError};
 use icd_faultsim::{run_test_multi, Datalog, FaultyGate};
 use icd_netlist::GateId;
 

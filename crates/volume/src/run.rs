@@ -11,9 +11,9 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use icd_bench::flow::{ExperimentContext, FlowError, FlowReport};
 use icd_core::AnalysisCache;
-use icd_engine::{BatchEngine, CancelToken, EngineConfig};
+use icd_engine::flow::{ExperimentContext, FlowError, FlowReport};
+use icd_engine::{BatchEngine, EngineConfig};
 use icd_faultsim::Datalog;
 use icd_netlist::ContentHash;
 use icd_obs::Stability;
@@ -147,9 +147,10 @@ impl VolumeRun {
         };
         let engine = BatchEngine::new(config);
         let datalogs: Vec<Datalog> = inputs.iter().map(|i| i.datalog.clone()).collect();
-        let token = CancelToken::new();
-        let batch =
-            engine.diagnose_batch_with_cache(&self.ctx, &datalogs, collector, &token, &cache)?;
+        let batch = {
+            let _recording = collector.map(icd_obs::Collector::install);
+            engine.diagnose_batch(&self.ctx, &datalogs, &cache)?
+        };
 
         let mut reports: Vec<(String, &FlowReport)> = Vec::new();
         let mut failures: Vec<(String, String)> = Vec::new();

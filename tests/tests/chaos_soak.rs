@@ -33,7 +33,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use icd_bench::flow::ExperimentContext;
+use icd_engine::flow::ExperimentContext;
 use icd_engine::{
     summarize_report, synthesize_batch, BatchConfig, BatchEngine, Collector, EngineConfig,
 };
@@ -64,7 +64,7 @@ fn fixture() -> Fixture {
     let texts: Vec<String> = batch.iter().map(datalog_text::write).collect();
     let engine = BatchEngine::new(EngineConfig::with_workers(1));
     let reference = engine
-        .diagnose_batch(&ctx, &batch)
+        .diagnose_batch(&ctx, &batch, &Default::default())
         .expect("reference batch runs");
     let mut summaries = Vec::new();
     let mut degraded = Vec::new();

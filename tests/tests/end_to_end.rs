@@ -1,9 +1,9 @@
 //! End-to-end flow tests on circuit A: inject → test → inter-cell →
 //! intra-cell, one per defect behaviour class.
 
-use icd_bench::flow::ground_truth_hit;
-use icd_bench::{run_flow, ExperimentContext};
+use icd_bench::flow::{ground_truth_hit, run_flow};
 use icd_defects::{sample_defects, BehaviorClass, MixConfig};
+use icd_engine::flow::ExperimentContext;
 
 fn class_mix(class: BehaviorClass) -> MixConfig {
     MixConfig {

@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use icd_bench::flow::{analyze_datalog_report, ExperimentContext, FlowStage};
+use icd_engine::flow::{analyze_datalog_report, ExperimentContext, FlowStage};
 use icd_engine::{synthesize_batch, BatchConfig, BatchEngine, EngineConfig};
 use icd_faultsim::{Datalog, FaultyBehavior, FaultyGate};
 use icd_logic::{Lv, TruthTable};
@@ -33,7 +33,9 @@ fn batch_fixture() -> (ExperimentContext, Vec<Datalog>) {
 
 fn render(engine_workers: usize, ctx: &Arc<ExperimentContext>, batch: &[Datalog]) -> String {
     let engine = BatchEngine::new(EngineConfig::with_workers(engine_workers));
-    let report = engine.diagnose_batch(ctx, batch).expect("batch runs");
+    let report = engine
+        .diagnose_batch(ctx, batch, &Default::default())
+        .expect("batch runs");
     assert_eq!(report.outcomes.len(), batch.len());
     assert_eq!(report.stats.workers, engine_workers);
     format!("{:#?}", report.outcomes)
@@ -49,7 +51,9 @@ fn engine_matches_the_sequential_staged_flow() {
 
     let ctx = ctx.into_shared();
     let engine = BatchEngine::new(EngineConfig::with_workers(2));
-    let parallel = engine.diagnose_batch(&ctx, &batch).expect("batch runs");
+    let parallel = engine
+        .diagnose_batch(&ctx, &batch, &Default::default())
+        .expect("batch runs");
     for (outcome, expected) in parallel.outcomes.iter().zip(&sequential) {
         let report = outcome.report.as_ref().expect("datalog diagnosed");
         assert_eq!(
@@ -168,7 +172,9 @@ fn poisoned_suspects_merge_deterministically() {
     // The poison is visible as structured skips, never as a panic or a
     // lost datalog.
     let engine = BatchEngine::new(EngineConfig::with_workers(4));
-    let report = engine.diagnose_batch(&ctx, &batch).expect("batch runs");
+    let report = engine
+        .diagnose_batch(&ctx, &batch, &Default::default())
+        .expect("batch runs");
     let skipped_lookup = report
         .reports()
         .flat_map(|(_, r)| r.skipped.iter())

@@ -7,9 +7,9 @@
 
 use std::error::Error;
 
-use icd_bench::{FlowError, FlowStage};
 use icd_core::CoreError;
 use icd_defects::{BehaviorClass, DefectError};
+use icd_engine::flow::{FlowError, FlowStage};
 use icd_faultsim::FaultSimError;
 use icd_intercell::IntercellError;
 use icd_logic::TruthTableError;

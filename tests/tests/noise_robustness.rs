@@ -9,8 +9,8 @@
 
 use std::sync::OnceLock;
 
-use icd_bench::{analyze_datalog_report, ExperimentContext, FlowError};
 use icd_core::LocalTest;
+use icd_engine::flow::{analyze_datalog_report, to_local_tests, ExperimentContext, FlowError};
 use icd_faultsim::{datalog_text, run_test, Corruption, Datalog, FaultyGate, NoiseModel};
 use icd_intercell::IntercellError;
 use proptest::prelude::*;
@@ -133,8 +133,8 @@ proptest! {
             ) else {
                 continue;
             };
-            let lfp: Vec<LocalTest> = icd_bench::to_local_tests(&local.lfp);
-            let lpp: Vec<LocalTest> = icd_bench::to_local_tests(&local.lpp);
+            let lfp: Vec<LocalTest> = to_local_tests(&local.lfp);
+            let lpp: Vec<LocalTest> = to_local_tests(&local.lpp);
             let Some(cell) = fx.ctx.cells.get(fx.ctx.circuit.gate_type(gate).name())
             else {
                 continue;

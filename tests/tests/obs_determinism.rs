@@ -7,13 +7,13 @@
 //! steal counts, cache hit/miss splits); the redaction contract is what
 //! makes observed runs comparable across machines and worker counts.
 //!
-//! The collector installed by `diagnose_batch_observed` is process
+//! The collector each observed run installs around the batch is process
 //! global, so the tests in this binary serialize on a local lock (other
 //! integration test files are separate processes and cannot interfere).
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use icd_bench::flow::ExperimentContext;
+use icd_engine::flow::ExperimentContext;
 use icd_engine::{synthesize_batch, BatchConfig, BatchEngine, Collector, EngineConfig};
 use icd_faultsim::Datalog;
 
@@ -48,9 +48,11 @@ fn observed_run(
 ) -> (String, String) {
     let engine = BatchEngine::new(EngineConfig::with_workers(workers));
     let collector = Collector::new();
-    let report = engine
-        .diagnose_batch_observed(ctx, batch, Some(&collector))
-        .expect("batch runs");
+    let report = {
+        let _recording = collector.install();
+        engine.diagnose_batch(ctx, batch, &Default::default())
+    }
+    .expect("batch runs");
     assert_eq!(report.outcomes.len(), batch.len());
     (
         collector.trace_json(true),
@@ -87,9 +89,11 @@ fn eventsim_counters_are_present_and_scheduling_stable() {
     let eventsim_counters = |workers: usize| -> Vec<(String, u64)> {
         let engine = BatchEngine::new(EngineConfig::with_workers(workers));
         let collector = Collector::new();
-        let report = engine
-            .diagnose_batch_observed(&ctx, batch.as_slice(), Some(&collector))
-            .expect("batch runs");
+        let report = {
+            let _recording = collector.install();
+            engine.diagnose_batch(&ctx, batch.as_slice(), &Default::default())
+        }
+        .expect("batch runs");
         assert_eq!(report.outcomes.len(), batch.len());
         let snap = collector.snapshot();
         snap.counters
@@ -121,9 +125,11 @@ fn observed_run_records_job_spans_and_stage_histograms() {
     let (ctx, batch) = batch_fixture();
     let engine = BatchEngine::new(EngineConfig::with_workers(4));
     let collector = Collector::new();
-    let report = engine
-        .diagnose_batch_observed(&ctx, &batch, Some(&collector))
-        .expect("batch runs");
+    let report = {
+        let _recording = collector.install();
+        engine.diagnose_batch(&ctx, &batch, &Default::default())
+    }
+    .expect("batch runs");
 
     // One front span per datalog, one suspect span per suspect job —
     // the span forest mirrors the merge identity space.
@@ -169,7 +175,9 @@ fn unobserved_runs_record_nothing() {
     let bystander = Collector::new();
     // No collector attached: instrumentation stays disabled end to end,
     // and an uninstalled collector sees nothing.
-    let report = engine.diagnose_batch(&ctx, &batch).expect("batch runs");
+    let report = engine
+        .diagnose_batch(&ctx, &batch, &Default::default())
+        .expect("batch runs");
     assert_eq!(report.outcomes.len(), batch.len());
     assert!(bystander.snapshot().counters.is_empty());
     assert!(bystander.span_forest().is_empty());

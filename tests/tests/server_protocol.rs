@@ -22,7 +22,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use icd_bench::flow::ExperimentContext;
+use icd_engine::flow::ExperimentContext;
 use icd_engine::{summarize_report, synthesize_batch, BatchConfig, BatchEngine, EngineConfig};
 use icd_faultsim::{datalog_text, Datalog};
 use icd_netlist::generator;
@@ -49,7 +49,7 @@ fn fixture() -> (
     let texts: Vec<String> = batch.iter().map(datalog_text::write).collect();
     let engine = BatchEngine::new(EngineConfig::with_workers(1));
     let reference = engine
-        .diagnose_batch(&ctx, &batch)
+        .diagnose_batch(&ctx, &batch, &Default::default())
         .expect("reference batch runs");
     let summaries: Vec<String> = reference
         .outcomes

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use icd_bench::flow::ExperimentContext;
+use icd_engine::flow::ExperimentContext;
 use icd_faultsim::datalog_text;
 use icd_netlist::generator;
 use icd_server::{Client, DrainOutcome, ResponseStatus, Server, ServerConfig};
