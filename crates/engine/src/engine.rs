@@ -515,7 +515,6 @@ impl BatchEngine {
                 pool_metrics.panics_contained,
                 Stable,
             );
-            icd_obs::counter("pool.steals", pool_metrics.steals, Timing);
             icd_obs::counter(
                 "pool.busy_us",
                 pool_metrics.busy_us.iter().sum::<u64>(),

@@ -9,8 +9,8 @@
 //! The paper's volume-diagnosis setting is inherently batch-shaped: one
 //! design, one test set, thousands of failing-device datalogs. This crate
 //! turns the staged flow into a job graph and executes it on a std-only
-//! work-stealing thread pool (the build environment has no registry
-//! access, so no `rayon`):
+//! thread pool with one bounded FIFO queue (the build environment has no
+//! registry access, so no `rayon`):
 //!
 //! * **job graph** — per datalog a *front* job (sanitize → test-escape
 //!   check → inter-cell diagnosis → suspect selection), then per
@@ -40,8 +40,8 @@
 //! * **observability** — with an [`icd_obs`] [`Collector`] installed
 //!   around [`BatchEngine::diagnose_batch`], every job runs under a span
 //!   keyed by its merge identity, and the run records per-stage latency
-//!   histograms, cache/set-cover counters and pool health (queue depth,
-//!   steals, per-worker busy/idle). The span forest and the redacted
+//!   histograms, cache/set-cover counters and pool health (queue
+//!   high-water, per-worker busy/idle). The span forest and the redacted
 //!   metrics snapshot are byte-identical at any worker count.
 //!
 //! ```

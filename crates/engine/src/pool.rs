@@ -1,15 +1,16 @@
-//! A std-only work-stealing thread pool with bounded queues.
+//! A std-only thread pool with one bounded FIFO queue.
 //!
 //! The build environment has no registry access, so instead of `rayon`
 //! this is a small, purpose-built pool on `std::thread` +
 //! `std::sync::{Mutex, Condvar}` (results travel back to the coordinator
 //! over `std::sync::mpsc` channels owned by the submitted closures):
 //!
-//! * **per-worker deques + stealing** — submissions are distributed
-//!   round-robin over per-worker queues; an idle worker first drains its
-//!   own queue front, then steals from the *back* of the longest sibling
-//!   queue, so one long-running datalog cannot starve the pool;
-//! * **bounded queues with backpressure** — [`WorkerPool::submit`] blocks
+//! * **one FIFO queue** — every idle worker takes the oldest waiting job,
+//!   so jobs start in submission order (the engine submits the
+//!   largest-cone suspects first) and one long-running datalog cannot
+//!   starve the pool. Per-worker deques with stealing would sit under the
+//!   same mutex, so they would buy no concurrency;
+//! * **bounded queue with backpressure** — [`WorkerPool::submit`] blocks
 //!   once `queue_capacity` jobs are waiting, so a producer enumerating a
 //!   huge batch cannot buffer the whole batch in memory;
 //! * **panic isolation** — every job runs under
@@ -31,13 +32,10 @@ use std::time::{Duration, Instant};
 pub type Job = Box<dyn FnOnce() + Send + 'static>;
 
 struct PoolState {
-    queues: Vec<VecDeque<Job>>,
-    /// Jobs currently waiting in any queue (not yet picked up).
-    queued: usize,
+    /// Jobs waiting to run, oldest first.
+    queue: VecDeque<Job>,
     /// Jobs a worker is currently executing.
     active: usize,
-    /// Round-robin cursor for submissions.
-    next: usize,
     shutdown: bool,
 }
 
@@ -53,8 +51,6 @@ struct PoolShared {
     panics: AtomicUsize,
     /// Jobs run to completion (panicked or not).
     executed: AtomicU64,
-    /// Jobs taken from a sibling's queue rather than the worker's own.
-    steals: AtomicU64,
     /// Most jobs ever waiting at once — how hard backpressure worked.
     queue_high_water: AtomicU64,
     /// Per-worker time spent running jobs (ns).
@@ -72,8 +68,6 @@ pub struct PoolMetrics {
     pub workers: usize,
     /// Jobs run to completion (including contained panics).
     pub jobs_executed: u64,
-    /// Jobs stolen from a sibling queue.
-    pub steals: u64,
     /// Most jobs ever waiting at once.
     pub queue_high_water: u64,
     /// Panics the pool-level net contained.
@@ -105,10 +99,8 @@ impl WorkerPool {
         let workers = workers.max(1);
         let shared = Arc::new(PoolShared {
             state: Mutex::new(PoolState {
-                queues: (0..workers).map(|_| VecDeque::new()).collect(),
-                queued: 0,
+                queue: VecDeque::new(),
                 active: 0,
-                next: 0,
                 shutdown: false,
             }),
             work: Condvar::new(),
@@ -117,7 +109,6 @@ impl WorkerPool {
             capacity: queue_capacity.max(1),
             panics: AtomicUsize::new(0),
             executed: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
             queue_high_water: AtomicU64::new(0),
             busy_ns: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             idle_ns: (0..workers).map(|_| AtomicU64::new(0)).collect(),
@@ -138,7 +129,7 @@ impl WorkerPool {
     /// `queue_capacity` waiting jobs (backpressure).
     pub fn submit(&self, job: Job) {
         let mut state = lock(&self.shared);
-        while state.queued >= self.shared.capacity && !state.shutdown {
+        while state.queue.len() >= self.shared.capacity && !state.shutdown {
             state = match self.shared.space.wait(state) {
                 Ok(g) => g,
                 Err(poisoned) => poisoned.into_inner(),
@@ -161,7 +152,7 @@ impl WorkerPool {
             if state.shutdown {
                 return Err(job);
             }
-            if state.queued < self.shared.capacity {
+            if state.queue.len() < self.shared.capacity {
                 self.enqueue(state, job);
                 return Ok(());
             }
@@ -177,13 +168,10 @@ impl WorkerPool {
     }
 
     fn enqueue(&self, mut state: MutexGuard<'_, PoolState>, job: Job) {
-        let slot = state.next % state.queues.len();
-        state.next = state.next.wrapping_add(1);
-        state.queues[slot].push_back(job);
-        state.queued += 1;
+        state.queue.push_back(job);
         self.shared
             .queue_high_water
-            .fetch_max(state.queued as u64, Ordering::Relaxed);
+            .fetch_max(state.queue.len() as u64, Ordering::Relaxed);
         drop(state);
         self.shared.work.notify_one();
     }
@@ -193,10 +181,10 @@ impl WorkerPool {
         self.handles.len()
     }
 
-    /// Jobs not yet finished: waiting in a queue or running on a worker.
+    /// Jobs not yet finished: waiting in the queue or running on a worker.
     pub fn pending_jobs(&self) -> usize {
         let state = lock(&self.shared);
-        state.queued + state.active
+        state.queue.len() + state.active
     }
 
     /// Blocks until no job is queued or running, or `timeout` elapses.
@@ -207,7 +195,7 @@ impl WorkerPool {
         let deadline = Instant::now() + timeout;
         let mut state = lock(&self.shared);
         loop {
-            if state.queued == 0 && state.active == 0 {
+            if state.queue.is_empty() && state.active == 0 {
                 return true;
             }
             let now = Instant::now();
@@ -257,7 +245,6 @@ impl WorkerPool {
         PoolMetrics {
             workers,
             jobs_executed: self.shared.executed.load(Ordering::Relaxed),
-            steals: self.shared.steals.load(Ordering::Relaxed),
             queue_high_water: self.shared.queue_high_water.load(Ordering::Relaxed),
             panics_contained: self.shared.panics.load(Ordering::Relaxed) as u64,
             busy_us: self.shared.busy_ns.iter().map(to_us).collect(),
@@ -286,33 +273,13 @@ impl Drop for WorkerPool {
     }
 }
 
-/// Takes the next job for worker `me`: own queue first (FIFO), then a
-/// steal from the back of the longest sibling queue (LIFO from the
-/// victim's view — the classic stealing order, which takes the coarsest
-/// not-yet-started work). The flag reports whether the job was stolen.
-fn take_job(state: &mut PoolState, me: usize) -> Option<(Job, bool)> {
-    if let Some(job) = state.queues[me].pop_front() {
-        state.queued -= 1;
-        return Some((job, false));
-    }
-    let victim = (0..state.queues.len())
-        .filter(|&i| i != me && !state.queues[i].is_empty())
-        .max_by_key(|&i| state.queues[i].len())?;
-    let job = state.queues[victim].pop_back()?;
-    state.queued -= 1;
-    Some((job, true))
-}
-
 fn worker_loop(me: usize, shared: &PoolShared) {
     loop {
         let idle_start = Instant::now();
         let job = {
             let mut state = lock(shared);
             loop {
-                if let Some((job, stolen)) = take_job(&mut state, me) {
-                    if stolen {
-                        shared.steals.fetch_add(1, Ordering::Relaxed);
-                    }
+                if let Some(job) = state.queue.pop_front() {
                     state.active += 1;
                     break job;
                 }
@@ -336,7 +303,7 @@ fn worker_loop(me: usize, shared: &PoolShared) {
         {
             let mut state = lock(shared);
             state.active -= 1;
-            if state.active == 0 && state.queued == 0 {
+            if state.active == 0 && state.queue.is_empty() {
                 drop(state);
                 shared.idle.notify_all();
             }

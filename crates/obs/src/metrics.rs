@@ -22,7 +22,7 @@ pub enum Stability {
     /// scheduling order and host speed (e.g. jobs executed, cache
     /// *lookup* totals, set-cover iterations).
     Stable,
-    /// Timing- or contention-dependent (e.g. latencies, steal counts,
+    /// Timing- or contention-dependent (e.g. latencies, queue high-water,
     /// cache hit/miss *splits*, which race on cold keys). Redaction
     /// zeroes these.
     Timing,

@@ -346,42 +346,8 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         println!("netlist {}", ctx.circuit.content_hash());
     }
 
-    // Every *.log in the directory, in name order (determinism).
-    let mut log_files: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .map_err(|e| format!("reading {}: {e}", dir.display()))?
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "log"))
-        .collect();
-    log_files.sort();
-    if log_files.is_empty() {
-        return Err(format!("no *.log datalogs in {}", dir.display()));
-    }
-    // A bad datalog is the tester's fault, not the batch's: skip it,
-    // say so, keep diagnosing the rest. Only an empty batch is fatal.
-    let mut datalogs: Vec<Datalog> = Vec::with_capacity(log_files.len());
-    let mut kept_files: Vec<PathBuf> = Vec::with_capacity(log_files.len());
-    let mut inputs_skipped = 0u64;
-    for path in log_files {
-        let loaded = std::fs::read_to_string(&path)
-            .map_err(|e| format!("reading: {e}"))
-            .and_then(|text| datalog_text::parse(&text).map_err(|e| e.to_string()));
-        match loaded {
-            Ok(datalog) => {
-                datalogs.push(datalog);
-                kept_files.push(path);
-            }
-            Err(why) => {
-                inputs_skipped += 1;
-                eprintln!("icdiag run: skipping {}: {why}", path.display());
-            }
-        }
-    }
-    if datalogs.is_empty() {
-        return Err(format!(
-            "all {inputs_skipped} datalogs in {} were unreadable or unparseable",
-            dir.display()
-        ));
-    }
+    let (loaded, inputs_skipped) = load_datalogs(&dir, "run")?;
+    let (names, datalogs): (Vec<String>, Vec<Datalog>) = loaded.into_iter().unzip();
 
     let config = if workers > 0 {
         EngineConfig::with_workers(workers)
@@ -394,7 +360,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         let _guard = collector.install();
         icd_obs::counter(
             "run.inputs_skipped",
-            inputs_skipped,
+            inputs_skipped as u64,
             icd_obs::Stability::Stable,
         );
     }
@@ -423,10 +389,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         if quiet {
             continue;
         }
-        let name = kept_files[outcome.index]
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| format!("#{}", outcome.index));
+        let name = &names[outcome.index];
         match &outcome.report {
             // The canonical shared rendering: the daemon's Report frames
             // carry these exact bytes for the same datalog.
@@ -490,43 +453,53 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     })
 }
 
-/// Loads every `*.log` in `dir` in name order, returning the parsed
-/// inputs and the count of unreadable/unparseable files skipped.
-fn load_volume_inputs(dir: &Path) -> Result<(Vec<VolumeInput>, usize), String> {
-    let mut log_files: Vec<PathBuf> = std::fs::read_dir(dir)
+/// Every `*.log` in `dir`, in name order (determinism).
+fn log_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
         .map_err(|e| format!("reading {}: {e}", dir.display()))?
         .filter_map(|entry| entry.ok().map(|e| e.path()))
         .filter(|p| p.extension().is_some_and(|x| x == "log"))
         .collect();
-    log_files.sort();
-    if log_files.is_empty() {
+    files.sort();
+    if files.is_empty() {
         return Err(format!("no *.log datalogs in {}", dir.display()));
     }
-    let mut inputs = Vec::with_capacity(log_files.len());
+    Ok(files)
+}
+
+/// The name a device's datalog file is reported under.
+fn device_name(path: &Path) -> String {
+    path.file_name()
+        .map(|n| n.to_string_lossy().into_owned())
+        .unwrap_or_else(|| path.display().to_string())
+}
+
+/// Parses every `*.log` in `dir`, returning the named datalogs and the
+/// count skipped. A bad datalog is the tester's fault, not the batch's:
+/// it is skipped with an `icdiag <command>: skipping` warning and the
+/// rest are kept. Only a directory where none loads is an error.
+fn load_datalogs(dir: &Path, command: &str) -> Result<(Vec<(String, Datalog)>, usize), String> {
+    let mut datalogs = Vec::new();
     let mut skipped = 0usize;
-    for path in log_files {
-        let name = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| path.display().to_string());
+    for path in log_files(dir)? {
         let loaded = std::fs::read_to_string(&path)
             .map_err(|e| format!("reading: {e}"))
             .and_then(|text| datalog_text::parse(&text).map_err(|e| e.to_string()));
         match loaded {
-            Ok(datalog) => inputs.push(VolumeInput { name, datalog }),
+            Ok(datalog) => datalogs.push((device_name(&path), datalog)),
             Err(why) => {
                 skipped += 1;
-                eprintln!("icdiag volume: skipping {}: {why}", path.display());
+                eprintln!("icdiag {command}: skipping {}: {why}", path.display());
             }
         }
     }
-    if inputs.is_empty() {
+    if datalogs.is_empty() {
         return Err(format!(
             "all {skipped} datalogs in {} were unreadable or unparseable",
             dir.display()
         ));
     }
-    Ok((inputs, skipped))
+    Ok((datalogs, skipped))
 }
 
 /// The `planted_gate=` line a `gen --defect-rate` manifest records.
@@ -585,7 +558,11 @@ fn volume(args: &[String]) -> Result<ExitCode, String> {
     let metrics_out = path_flag("metrics-out");
 
     let ctx = load_context(&dir)?;
-    let (inputs, skipped) = load_volume_inputs(&dir)?;
+    let (loaded, skipped) = load_datalogs(&dir, "volume")?;
+    let inputs: Vec<VolumeInput> = loaded
+        .into_iter()
+        .map(|(name, datalog)| VolumeInput { name, datalog })
+        .collect();
 
     let run = VolumeRun::new(
         Arc::clone(&ctx),
@@ -776,25 +753,14 @@ fn submit_volume(args: &[String]) -> Result<ExitCode, String> {
     // Raw texts, name order: the server parses (and skips) for itself,
     // so its skip accounting matches a local run over the same corpus.
     let dir = PathBuf::from(dir);
-    let mut log_files: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .map_err(|e| format!("reading {}: {e}", dir.display()))?
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "log"))
-        .collect();
-    log_files.sort();
-    if log_files.is_empty() {
-        return Err(format!("no *.log datalogs in {}", dir.display()));
-    }
-    let mut devices: Vec<(String, String)> = Vec::with_capacity(log_files.len());
-    for path in log_files {
-        let name = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| path.display().to_string());
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| format!("reading {}: {e}", path.display()))?;
-        devices.push((name, text));
-    }
+    let devices = log_files(&dir)?
+        .iter()
+        .map(|path| {
+            std::fs::read_to_string(path)
+                .map(|text| (device_name(path), text))
+                .map_err(|e| format!("reading {}: {e}", path.display()))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
 
     let mut client = Client::connect(addr.as_str(), Duration::from_millis(timeout_ms))
         .map_err(|e| format!("connecting {addr}: {e}"))?;

@@ -3,7 +3,7 @@
 
 use std::error::Error;
 use std::fmt;
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufReader, BufWriter};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -105,9 +105,7 @@ impl Client {
     }
 
     fn send(&mut self, frame: &Frame) -> Result<(), ClientError> {
-        frame::write_frame(&mut self.writer, frame)?;
-        self.writer.flush()?;
-        Ok(())
+        Ok(frame::write_frame(&mut self.writer, frame)?)
     }
 
     fn recv(&mut self) -> Result<Option<Frame>, ClientError> {
@@ -160,56 +158,8 @@ impl Client {
         deadline_ms: u32,
         trace_id: Option<u64>,
     ) -> Result<Response, ClientError> {
-        let id = self.next_id();
-        self.send(&Frame {
-            frame_type: FrameType::Request,
-            request_id: id,
-            trace_id,
-            payload: frame::request_payload(deadline_ms, datalog_text),
-        })?;
-        let mut suspects = Vec::new();
-        let mut progress = Vec::new();
-        loop {
-            let Some(f) = self.recv()? else {
-                return Err(ClientError::Closed);
-            };
-            if f.request_id != id && f.frame_type != FrameType::Goodbye {
-                return Err(ClientError::UnexpectedResponse(format!(
-                    "frame for request {} while waiting on {id}",
-                    f.request_id
-                )));
-            }
-            match f.frame_type {
-                FrameType::Suspects => {
-                    // A retried attempt re-streams; last write wins.
-                    suspects = std::str::from_utf8(&f.payload)
-                        .unwrap_or("")
-                        .split_whitespace()
-                        .filter_map(|t| t.parse::<u32>().ok())
-                        .collect();
-                    progress.clear();
-                }
-                FrameType::Progress => {
-                    if let Some(p) = parse_progress(&f.payload) {
-                        progress.push(p);
-                    }
-                }
-                FrameType::Report => {
-                    let (status, summary) = parse_report(&f.payload)?;
-                    return Ok(Response {
-                        status,
-                        summary,
-                        suspects,
-                        progress,
-                    });
-                }
-                FrameType::Error => return Err(parse_error(&f.payload)),
-                FrameType::Goodbye => return Err(ClientError::Closed),
-                other => {
-                    return Err(ClientError::UnexpectedResponse(format!("{other:?}")));
-                }
-            }
-        }
+        let payload = frame::request_payload(deadline_ms, datalog_text);
+        self.diagnose(FrameType::Request, trace_id, payload)
     }
 
     /// Submits a named corpus of datalog texts for volume diagnosis and
@@ -217,7 +167,8 @@ impl Client {
     /// canonical volume-report JSON (byte-identical to `icdiag volume
     /// --json-out` over the same corpus). Streamed per-device
     /// Suspects/Progress frames are collected like [`Client::submit`];
-    /// `suspects` holds the last streamed set.
+    /// `suspects` holds the last streamed set and `progress` accumulates
+    /// across devices.
     ///
     /// # Errors
     ///
@@ -227,12 +178,26 @@ impl Client {
         devices: &[(String, String)],
         deadline_ms: u32,
     ) -> Result<Response, ClientError> {
+        let payload = frame::volume_request_payload(deadline_ms, devices);
+        self.diagnose(FrameType::Volume, None, payload)
+    }
+
+    /// Sends one `Request` or `Volume` frame and collects the streamed
+    /// frames until the final `Report`. A `Suspects` frame replaces the
+    /// suspect list; for a single datalog it also restarts `progress`,
+    /// because a retried attempt streams again.
+    fn diagnose(
+        &mut self,
+        frame_type: FrameType,
+        trace_id: Option<u64>,
+        payload: Vec<u8>,
+    ) -> Result<Response, ClientError> {
         let id = self.next_id();
         self.send(&Frame {
-            frame_type: FrameType::Volume,
+            frame_type,
             request_id: id,
-            trace_id: None,
-            payload: frame::volume_request_payload(deadline_ms, devices),
+            trace_id,
+            payload,
         })?;
         let mut suspects = Vec::new();
         let mut progress = Vec::new();
@@ -253,6 +218,9 @@ impl Client {
                         .split_whitespace()
                         .filter_map(|t| t.parse::<u32>().ok())
                         .collect();
+                    if frame_type == FrameType::Request {
+                        progress.clear();
+                    }
                 }
                 FrameType::Progress => {
                     if let Some(p) = parse_progress(&f.payload) {

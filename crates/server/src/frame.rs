@@ -407,33 +407,27 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// Encodes a frame to its wire bytes. A frame without a trace id is
 /// byte-identical to the pre-flags encoding (flags word zero).
 pub fn encode(frame: &Frame) -> Vec<u8> {
-    let prefix_len = if frame.trace_id.is_some() { 8 } else { 0 };
-    let wire_len = prefix_len + frame.payload.len();
-    let mut out = Vec::with_capacity(HEADER_LEN + wire_len);
-    out.extend_from_slice(&MAGIC);
-    out.push(VERSION);
-    out.push(frame.frame_type as u8);
     let flags = if frame.trace_id.is_some() {
         FLAG_TRACE_ID
     } else {
         0
     };
+    let mut out = Vec::with_capacity(HEADER_LEN + 8 + frame.payload.len());
+    out.extend_from_slice(&MAGIC);
+    out.push(VERSION);
+    out.push(frame.frame_type as u8);
     out.extend_from_slice(&flags.to_le_bytes());
     out.extend_from_slice(&frame.request_id.to_le_bytes());
-    out.extend_from_slice(&(wire_len as u32).to_le_bytes());
-    let crc = {
-        let mut wire_payload = Vec::with_capacity(wire_len);
-        if let Some(id) = frame.trace_id {
-            wire_payload.extend_from_slice(&id.to_le_bytes());
-        }
-        wire_payload.extend_from_slice(&frame.payload);
-        crc32(&wire_payload)
-    };
-    out.extend_from_slice(&crc.to_le_bytes());
+    // Payload length and crc32, patched once the wire payload is in place.
+    out.extend_from_slice(&[0; 8]);
     if let Some(id) = frame.trace_id {
         out.extend_from_slice(&id.to_le_bytes());
     }
     out.extend_from_slice(&frame.payload);
+    let wire_len = (out.len() - HEADER_LEN) as u32;
+    let crc = crc32(&out[HEADER_LEN..]);
+    out[16..20].copy_from_slice(&wire_len.to_le_bytes());
+    out[20..24].copy_from_slice(&crc.to_le_bytes());
     out
 }
 
@@ -448,30 +442,22 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
 }
 
 /// The validated fields of a frame header, before the payload is read.
-#[derive(Debug, Clone, Copy)]
-pub struct Header {
+struct Header {
     /// Raw frame-type byte; validated against [`FrameType`] only after
     /// the payload is consumed, so an unknown type stays frame-bounded.
-    pub type_byte: u8,
-    /// Header flags (only [`KNOWN_FLAGS`] bits, enforced on parse).
-    pub flags: u16,
-    /// Client-chosen request id.
-    pub request_id: u64,
+    type_byte: u8,
+    flags: u16,
+    request_id: u64,
     /// Payload length including any trace-id prefix (already bounded by
     /// `max_payload`).
-    pub payload_len: u32,
-    /// Declared payload crc32.
-    pub crc: u32,
+    payload_len: u32,
+    crc: u32,
 }
 
 /// Parses and validates the fixed-size header. Magic, version, flag
 /// bits and the length bound are checked here; the frame type and crc
 /// are checked by [`finish_frame`] once the payload is in hand.
-///
-/// # Errors
-///
-/// Any desynchronizing [`ProtocolError`] the header exhibits.
-pub fn parse_header(bytes: &[u8; HEADER_LEN], max_payload: u32) -> Result<Header, ProtocolError> {
+fn parse_header(bytes: &[u8; HEADER_LEN], max_payload: u32) -> Result<Header, ProtocolError> {
     if bytes[0..4] != MAGIC {
         let mut got = [0u8; 4];
         got.copy_from_slice(&bytes[0..4]);
@@ -507,14 +493,9 @@ pub fn parse_header(bytes: &[u8; HEADER_LEN], max_payload: u32) -> Result<Header
 }
 
 /// Validates frame type and payload crc once the payload is read, and
-/// strips the trace-id prefix when the header declared one.
-///
-/// # Errors
-///
-/// A frame-bounded [`ProtocolError`] (unknown type, crc mismatch, or a
-/// trace-id flag without room for the prefix) — the stream is still in
-/// sync either way.
-pub fn finish_frame(header: &Header, mut payload: Vec<u8>) -> Result<Frame, ProtocolError> {
+/// strips the trace-id prefix when the header declared one. Every error
+/// here is frame-bounded: the stream is still in sync.
+fn finish_frame(header: &Header, mut payload: Vec<u8>) -> Result<Frame, ProtocolError> {
     let got = crc32(&payload);
     if got != header.crc {
         return Err(ProtocolError::BadChecksum {
@@ -545,6 +526,20 @@ pub fn finish_frame(header: &Header, mut payload: Vec<u8>) -> Result<Frame, Prot
     })
 }
 
+/// Reads until `buf` is full or the stream ends; returns the bytes read.
+fn fill<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<usize, FrameError> {
+    let mut filled = 0usize;
+    while filled < buf.len() {
+        match r.read(&mut buf[filled..]) {
+            Ok(0) => break,
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(FrameError::Io(e)),
+        }
+    }
+    Ok(filled)
+}
+
 /// Reads one frame from a blocking reader. `Ok(None)` is a clean EOF at
 /// a frame boundary (the peer closed between frames); EOF *inside* a
 /// frame is [`ProtocolError::Truncated`].
@@ -554,47 +549,31 @@ pub fn finish_frame(header: &Header, mut payload: Vec<u8>) -> Result<Frame, Prot
 /// [`FrameError::Protocol`] for malformed bytes, [`FrameError::Io`] for
 /// transport failures.
 pub fn read_frame<R: Read>(r: &mut R, max_payload: u32) -> Result<Option<Frame>, FrameError> {
-    let mut header_bytes = [0u8; HEADER_LEN];
-    let mut filled = 0usize;
-    while filled < HEADER_LEN {
-        match r.read(&mut header_bytes[filled..]) {
-            Ok(0) => {
-                if filled == 0 {
-                    return Ok(None);
-                }
-                return Err(ProtocolError::Truncated {
-                    context: "header",
-                    needed: HEADER_LEN,
-                    got: filled,
-                }
-                .into());
+    let mut header = [0u8; HEADER_LEN];
+    match fill(r, &mut header)? {
+        0 => return Ok(None),
+        HEADER_LEN => {}
+        got => {
+            return Err(ProtocolError::Truncated {
+                context: "header",
+                needed: HEADER_LEN,
+                got,
             }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(FrameError::Io(e)),
+            .into())
         }
     }
-    let header = parse_header(&header_bytes, max_payload)?;
+    let header = parse_header(&header, max_payload)?;
     let mut payload = vec![0u8; header.payload_len as usize];
-    let mut filled = 0usize;
-    while filled < payload.len() {
-        match r.read(&mut payload[filled..]) {
-            Ok(0) => {
-                return Err(ProtocolError::Truncated {
-                    context: "payload",
-                    needed: payload.len(),
-                    got: filled,
-                }
-                .into());
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(FrameError::Io(e)),
+    let got = fill(r, &mut payload)?;
+    if got < payload.len() {
+        return Err(ProtocolError::Truncated {
+            context: "payload",
+            needed: payload.len(),
+            got,
         }
+        .into());
     }
-    finish_frame(&header, payload)
-        .map(Some)
-        .map_err(FrameError::from)
+    Ok(Some(finish_frame(&header, payload)?))
 }
 
 /// Builds a [`FrameType::Request`] payload from its parts.
@@ -702,6 +681,59 @@ mod tests {
         let (deadline, text) = parse_request_payload(&decoded.payload).expect("request payload");
         assert_eq!(deadline, 1500);
         assert!(text.starts_with("datalog d0"));
+    }
+
+    /// Decodes a hex literal, two digits per byte.
+    fn unhex(text: &str) -> Vec<u8> {
+        (0..text.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&text[i..i + 2], 16).expect("hex digits"))
+            .collect()
+    }
+
+    #[test]
+    fn request_frames_keep_their_wire_bytes() {
+        // Computed apart from this module: little-endian header fields,
+        // zlib crc32 over the trace-id prefix plus the payload.
+        const PLAIN: &str = concat!(
+            "49434453", // magic
+            "01",       // version
+            "01",       // Request
+            "0000",     // flags
+            "0700000000000000",
+            "1a000000", // payload length
+            "0fb6f3f1", // crc32
+            "dc050000", // deadline_ms 1500
+            "646174616c6f672064300a7061747465726e7320340a",
+        );
+        const TRACED: &str = concat!(
+            "49434453",
+            "01",
+            "01",
+            "0100", // FLAG_TRACE_ID
+            "0700000000000000",
+            "22000000", // payload length, prefix included
+            "70343b3d",
+            "8877665544332211", // trace id prefix
+            "dc050000",
+            "646174616c6f672064300a7061747465726e7320340a",
+        );
+        let plain = Frame {
+            frame_type: FrameType::Request,
+            request_id: 7,
+            trace_id: None,
+            payload: request_payload(1500, "datalog d0\npatterns 4\n"),
+        };
+        let traced = plain.clone().with_trace_id(Some(0x1122_3344_5566_7788));
+        for (frame, wire) in [(plain, PLAIN), (traced, TRACED)] {
+            let hex: String = encode(&frame).iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, wire);
+            let bytes = unhex(wire);
+            let decoded = read_frame(&mut &bytes[..], DEFAULT_MAX_PAYLOAD)
+                .expect("decodes")
+                .expect("not EOF");
+            assert_eq!(decoded, frame);
+        }
     }
 
     #[test]

@@ -7,12 +7,16 @@
 //! * **wire protocol** ([`frame`]) — versioned length-framed messages
 //!   with crc32 payload integrity; every malformed input is a typed
 //!   [`ProtocolError`], split into frame-bounded (connection survives)
-//!   and desynchronizing (connection closes) severities;
+//!   and desynchronizing (connection closes) severities. One reader,
+//!   [`frame::read_frame`], serves the daemon and the [`Client`];
 //! * **daemon** ([`server`]) — thread-per-connection TCP server feeding
 //!   one shared [`DiagnosisService`](icd_engine::DiagnosisService);
-//!   per-request deadlines and per-connection idle budgets ride a
-//!   cooperative [`CancelToken`](icd_engine::CancelToken), checked at
-//!   job boundaries so cancellation never poisons the pool;
+//!   `Request` and `Volume` frames share one handler, and a request that
+//!   produces no report fails with one typed cause (deadline, busy,
+//!   internal, client gone); per-request deadlines and per-connection
+//!   idle budgets ride a cooperative
+//!   [`CancelToken`](icd_engine::CancelToken), checked at job boundaries
+//!   so cancellation never poisons the pool;
 //! * **graceful degradation** — queue-full admission and contained
 //!   worker panics retry with capped exponential backoff + seeded
 //!   jitter ([`retry`]); when the budget runs out, a partial report

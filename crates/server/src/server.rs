@@ -41,9 +41,7 @@ use icd_faultsim::NoiseRng;
 use icd_obs::{EventLog, TraceContext};
 
 use crate::chaos::ChaosPanics;
-use crate::frame::{
-    self, ErrorCode, Frame, FrameType, Header, ProtocolError, ResponseStatus, HEADER_LEN,
-};
+use crate::frame::{self, ErrorCode, Frame, FrameError, FrameType, ResponseStatus, HEADER_LEN};
 use crate::retry::BackoffConfig;
 use crate::stats::{LiveStats, RequestKind, RequestOutcome};
 
@@ -51,6 +49,9 @@ use crate::stats::{LiveStats, RequestKind, RequestOutcome};
 fn count(name: &'static str, delta: u64) {
     icd_obs::counter(name, delta, icd_obs::Stability::Stable);
 }
+
+/// Seed of the per-connection backoff jitter streams.
+const JITTER_SEED: u64 = 0x01cd_5eed;
 
 /// Everything tunable about one daemon instance.
 #[derive(Debug, Clone)]
@@ -71,10 +72,6 @@ pub struct ServerConfig {
     /// How long [`Server::run`] waits for in-flight requests at
     /// shutdown before hard-cancelling what remains.
     pub drain_deadline: Duration,
-    /// Largest payload a client may send.
-    pub max_payload: u32,
-    /// Seed for the per-connection backoff jitter streams.
-    pub jitter_seed: u64,
     /// Optional seeded worker-panic injection (the chaos harness).
     pub chaos_panics: Option<ChaosPanics>,
     /// Optional rotating JSONL event log: one structured record per
@@ -96,8 +93,6 @@ impl Default for ServerConfig {
             default_deadline: Duration::from_secs(30),
             idle_timeout: Duration::from_secs(30),
             drain_deadline: Duration::from_secs(10),
-            max_payload: frame::DEFAULT_MAX_PAYLOAD,
-            jitter_seed: 0x01cd_5eed,
             chaos_panics: None,
             event_log: None,
             slow_threshold: Duration::from_secs(1),
@@ -231,7 +226,7 @@ impl Server {
     pub fn run(self) -> io::Result<DrainOutcome> {
         let mut connections: Vec<thread::JoinHandle<()>> = Vec::new();
         loop {
-            let (stream, peer) = match self.listener.accept() {
+            let (stream, _) = match self.listener.accept() {
                 Ok(pair) => pair,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
@@ -247,11 +242,11 @@ impl Server {
                 service: Arc::clone(&self.service),
                 config: Arc::clone(&self.config),
                 state: Arc::clone(&self.state),
-                jitter: NoiseRng::new(self.config.jitter_seed ^ (seq as u64).wrapping_mul(0x9e37)),
+                jitter: NoiseRng::new(JITTER_SEED ^ (seq as u64).wrapping_mul(0x9e37)),
             };
             let handle = thread::Builder::new()
                 .name(format!("icd-conn-{seq}"))
-                .spawn(move || conn.serve(stream, peer))?;
+                .spawn(move || conn.serve(stream))?;
             connections.push(handle);
             // Reap finished connection threads so the vec stays bounded.
             connections.retain(|h| !h.is_finished());
@@ -308,45 +303,125 @@ fn error_frame(request_id: u64, code: ErrorCode, message: &str) -> Frame {
     }
 }
 
-fn report_frame(request_id: u64, status: ResponseStatus, summary: &str) -> Frame {
-    let mut payload = Vec::with_capacity(1 + summary.len());
-    payload.push(status as u8);
-    payload.extend_from_slice(summary.as_bytes());
-    Frame {
-        frame_type: FrameType::Report,
-        request_id,
-        trace_id: None,
-        payload,
-    }
-}
-
-/// How one attempt to read a frame under the poll loop ended.
-enum PollRead {
-    Frame {
-        frame: Frame,
-        /// When the header was complete and decoding proper began —
-        /// the start of the request's `server.decode` trace span.
-        decode_start: Instant,
-        /// Header-complete to frame-validated (µs); includes reading
-        /// the payload off the socket.
-        decode_us: u64,
-    },
-    /// Clean close at a frame boundary.
-    Eof,
-    /// No complete frame within the idle budget (nothing read: idle;
-    /// partially read: a stalled/slow-loris peer).
-    TimedOut {
-        mid_frame: bool,
-    },
-    /// The drain flag flipped while the connection was idle.
-    Draining,
-    Protocol(ProtocolError),
-    Io,
-}
-
 /// Interval at which blocked reads wake to check the drain flag and the
 /// idle budget. Bounds how stale a drain signal can go unnoticed.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
+
+/// Why a [`PolledReader`] stopped a frame read on its own.
+#[derive(Clone, Copy)]
+enum Stop {
+    /// The drain flag was up and no byte of the frame had arrived.
+    Draining,
+    /// The idle budget ran out before the frame was complete.
+    TimedOut,
+}
+
+/// The connection's socket as a [`Read`] for [`frame::read_frame`]. A
+/// blocked read wakes every [`POLL_INTERVAL`] to check the drain flag
+/// and the idle budget; when either ends the read, the reason is kept in
+/// `stop` and the read fails with an I/O error. Drain interrupts only
+/// between frames: a frame that has started arriving is an in-flight
+/// request and must not be lost.
+struct PolledReader<'a> {
+    stream: &'a TcpStream,
+    draining: &'a AtomicBool,
+    started: Instant,
+    idle_timeout: Duration,
+    /// Bytes of this frame read so far.
+    read: usize,
+    /// When the header's last byte arrived: the start of the request's
+    /// `server.decode` span.
+    header_done: Option<Instant>,
+    stop: Option<Stop>,
+}
+
+impl<'a> PolledReader<'a> {
+    fn new(stream: &'a TcpStream, draining: &'a AtomicBool, idle_timeout: Duration) -> Self {
+        PolledReader {
+            stream,
+            draining,
+            started: Instant::now(),
+            idle_timeout,
+            read: 0,
+            header_done: None,
+            stop: None,
+        }
+    }
+}
+
+impl Read for PolledReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        loop {
+            if self.read == 0 && self.draining.load(Ordering::Acquire) {
+                self.stop = Some(Stop::Draining);
+            } else if self.started.elapsed() > self.idle_timeout {
+                self.stop = Some(Stop::TimedOut);
+            }
+            if self.stop.is_some() {
+                return Err(ErrorKind::TimedOut.into());
+            }
+            match self.stream.read(buf) {
+                Ok(n) => {
+                    if self.read < HEADER_LEN && self.read + n >= HEADER_LEN {
+                        self.header_done = Some(Instant::now());
+                    }
+                    self.read += n;
+                    return Ok(n);
+                }
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                    ) => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
+
+/// Why a diagnosis produced no report.
+enum Failure {
+    /// The request's token was cancelled (deadline or forced drain); the
+    /// message says at which point.
+    Deadline(&'static str),
+    /// The queue stayed full through this many retries.
+    Busy(u32),
+    /// The request failed as a whole: a front-stage error, or worker
+    /// panics that survived every retry.
+    Internal(String),
+    /// A streamed frame could not be written: the client is gone.
+    ClientGone,
+}
+
+impl Failure {
+    fn code(&self) -> ErrorCode {
+        match self {
+            Failure::Deadline(_) => ErrorCode::DeadlineExceeded,
+            Failure::Busy(_) => ErrorCode::Busy,
+            Failure::Internal(_) | Failure::ClientGone => ErrorCode::Internal,
+        }
+    }
+
+    fn message(&self) -> String {
+        match self {
+            Failure::Deadline(message) => (*message).to_owned(),
+            Failure::Busy(retries) => format!("queue stayed full through {retries} retries"),
+            Failure::Internal(message) => message.clone(),
+            Failure::ClientGone => "client connection lost mid-stream".to_owned(),
+        }
+    }
+}
+
+/// A failed attempt the retry loop may try again.
+enum Transient {
+    /// The report came back with panicked suspect slots; once the retry
+    /// budget is spent it ships as the degraded answer.
+    PanickedSlots(FlowReport),
+    /// The front job panicked.
+    FrontPanic,
+    /// Admission found the queue full.
+    QueueFull,
+}
 
 struct Connection {
     service: Arc<DiagnosisService>,
@@ -356,7 +431,7 @@ struct Connection {
 }
 
 impl Connection {
-    fn serve(mut self, mut stream: TcpStream, _peer: SocketAddr) {
+    fn serve(mut self, mut stream: TcpStream) {
         if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err()
             || stream
                 .set_write_timeout(Some(self.config.idle_timeout))
@@ -366,120 +441,14 @@ impl Connection {
             return;
         }
         loop {
-            match self.read_frame_polled(&mut stream) {
-                PollRead::Frame {
-                    frame: f,
-                    decode_start,
-                    decode_us,
-                } => {
-                    count("server.frames_rx", 1);
-                    match f.frame_type {
-                        FrameType::Ping => {
-                            let t0 = Instant::now();
-                            if frame::write_frame(
-                                &mut stream,
-                                &Frame::bare(FrameType::Pong, f.request_id),
-                            )
-                            .is_err()
-                            {
-                                return;
-                            }
-                            self.state
-                                .stats
-                                .record_ping(t0.elapsed().as_micros() as u64);
-                        }
-                        FrameType::Stats => {
-                            // Served regardless of drain state: an
-                            // operator watching a drain is the moment
-                            // stats matter most. The snapshot reads
-                            // atomics and clones histograms — service
-                            // never pauses.
-                            count("server.stats_requests", 1);
-                            let json = self.state.stats.snapshot_json(
-                                self.service.pending_jobs(),
-                                self.state.active_requests.load(Ordering::Acquire),
-                                self.state.draining.load(Ordering::Acquire),
-                            );
-                            count("server.frames_tx", 1);
-                            let reply = Frame {
-                                frame_type: FrameType::StatsReport,
-                                request_id: f.request_id,
-                                trace_id: f.trace_id,
-                                payload: json.into_bytes(),
-                            };
-                            if frame::write_frame(&mut stream, &reply).is_err() {
-                                return;
-                            }
-                        }
-                        FrameType::Shutdown => {
-                            count("server.shutdown_requested", 1);
-                            let _ = frame::write_frame(
-                                &mut stream,
-                                &Frame::bare(FrameType::Goodbye, f.request_id),
-                            );
-                            self.state.draining.store(true, Ordering::Release);
-                            // Wake the accept loop the same way a handle would.
-                            if let Ok(addr) = stream.local_addr() {
-                                let _ = TcpStream::connect(addr);
-                            }
-                            return;
-                        }
-                        FrameType::Request => {
-                            if !self.handle_request(&mut stream, &f, decode_start, decode_us) {
-                                return;
-                            }
-                        }
-                        FrameType::Volume => {
-                            if !self.handle_volume(&mut stream, &f, decode_start, decode_us) {
-                                return;
-                            }
-                        }
-                        // A client sending server-side frames is out of
-                        // protocol; frame-bounded, answer and continue.
-                        _ => {
-                            count("server.frames_bad", 1);
-                            if frame::write_frame(
-                                &mut stream,
-                                &error_frame(
-                                    f.request_id,
-                                    ErrorCode::Protocol,
-                                    "unexpected server-to-client frame type",
-                                ),
-                            )
-                            .is_err()
-                            {
-                                return;
-                            }
-                        }
-                    }
-                }
-                PollRead::Eof => return,
-                PollRead::Draining => {
-                    let _ = frame::write_frame(&mut stream, &Frame::bare(FrameType::Goodbye, 0));
-                    return;
-                }
-                PollRead::TimedOut { mid_frame } => {
-                    count(
-                        if mid_frame {
-                            "server.stalled_clients"
-                        } else {
-                            "server.idle_timeouts"
-                        },
-                        1,
-                    );
-                    if mid_frame {
-                        let _ = frame::write_frame(
-                            &mut stream,
-                            &error_frame(
-                                0,
-                                ErrorCode::Protocol,
-                                "frame not completed within the idle budget",
-                            ),
-                        );
-                    }
-                    return;
-                }
-                PollRead::Protocol(p) => {
+            let mut reader =
+                PolledReader::new(&stream, &self.state.draining, self.config.idle_timeout);
+            let read = frame::read_frame(&mut reader, frame::DEFAULT_MAX_PAYLOAD);
+            let (stop, mid_frame, header_done) = (reader.stop, reader.read > 0, reader.header_done);
+            let f = match read {
+                Ok(Some(f)) => f,
+                Ok(None) => return,
+                Err(FrameError::Protocol(p)) => {
                     count("server.frames_bad", 1);
                     let ok = frame::write_frame(
                         &mut stream,
@@ -491,154 +460,169 @@ impl Connection {
                     if !p.is_frame_bounded() || !ok {
                         return;
                     }
+                    continue;
                 }
-                PollRead::Io => return,
-            }
-        }
-    }
-
-    /// Reads one frame, waking every [`POLL_INTERVAL`] to check the
-    /// drain flag and the idle budget.
-    fn read_frame_polled(&self, stream: &mut TcpStream) -> PollRead {
-        let started = Instant::now();
-        let mut header = [0u8; HEADER_LEN];
-        let header = match self.fill_polled(stream, &mut header, started, true) {
-            Fill::Done => header,
-            Fill::CleanEof => return PollRead::Eof,
-            Fill::Draining => return PollRead::Draining,
-            Fill::TimedOut { any_bytes } => {
-                return PollRead::TimedOut {
-                    mid_frame: any_bytes,
-                }
-            }
-            Fill::TruncatedEof { got } => {
-                return PollRead::Protocol(ProtocolError::Truncated {
-                    context: "header",
-                    needed: HEADER_LEN,
-                    got,
-                })
-            }
-            Fill::Io => return PollRead::Io,
-        };
-        let decode_start = Instant::now();
-        let header: Header = match frame::parse_header(&header, self.config.max_payload) {
-            Ok(h) => h,
-            Err(p) => return PollRead::Protocol(p),
-        };
-        let mut payload = vec![0u8; header.payload_len as usize];
-        match self.fill_polled(stream, &mut payload, started, false) {
-            Fill::Done => {}
-            Fill::CleanEof | Fill::TruncatedEof { .. } => {
-                return PollRead::Protocol(ProtocolError::Truncated {
-                    context: "payload",
-                    needed: payload.len(),
-                    got: 0,
-                })
-            }
-            Fill::Draining => return PollRead::Draining,
-            Fill::TimedOut { .. } => return PollRead::TimedOut { mid_frame: true },
-            Fill::Io => return PollRead::Io,
-        }
-        match frame::finish_frame(&header, payload) {
-            Ok(frame) => PollRead::Frame {
-                frame,
-                decode_start,
-                decode_us: decode_start.elapsed().as_micros() as u64,
-            },
-            Err(p) => PollRead::Protocol(p),
-        }
-    }
-
-    /// Fills `buf` under the poll loop. `at_boundary` marks the read as
-    /// sitting between frames, where EOF is clean and drain may
-    /// interrupt; mid-frame, drain waits for the frame (the in-flight
-    /// request must not be lost).
-    fn fill_polled(
-        &self,
-        stream: &mut TcpStream,
-        buf: &mut [u8],
-        started: Instant,
-        at_boundary: bool,
-    ) -> Fill {
-        let mut filled = 0usize;
-        while filled < buf.len() {
-            if at_boundary && filled == 0 && self.state.draining.load(Ordering::Acquire) {
-                return Fill::Draining;
-            }
-            if started.elapsed() > self.config.idle_timeout {
-                return Fill::TimedOut {
-                    any_bytes: !at_boundary || filled > 0,
-                };
-            }
-            match stream.read(&mut buf[filled..]) {
-                Ok(0) => {
-                    if at_boundary && filled == 0 {
-                        return Fill::CleanEof;
+                Err(FrameError::Io(_)) => {
+                    match stop {
+                        Some(Stop::Draining) => {
+                            let _ = frame::write_frame(
+                                &mut stream,
+                                &Frame::bare(FrameType::Goodbye, 0),
+                            );
+                        }
+                        Some(Stop::TimedOut) if mid_frame => {
+                            count("server.stalled_clients", 1);
+                            let _ = frame::write_frame(
+                                &mut stream,
+                                &error_frame(
+                                    0,
+                                    ErrorCode::Protocol,
+                                    "frame not completed within the idle budget",
+                                ),
+                            );
+                        }
+                        Some(Stop::TimedOut) => count("server.idle_timeouts", 1),
+                        // The socket failed outright: nothing useful can
+                        // be written back.
+                        None => {}
                     }
-                    return Fill::TruncatedEof { got: filled };
+                    return;
                 }
-                Ok(n) => filled += n,
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
-                    ) => {}
-                Err(_) => return Fill::Io,
+            };
+            // Header complete to frame validated: the `server.decode` span.
+            let decode_start = header_done.unwrap_or_else(Instant::now);
+            let decode = (decode_start, decode_start.elapsed());
+            count("server.frames_rx", 1);
+            let keep = match f.frame_type {
+                FrameType::Ping => {
+                    let t0 = Instant::now();
+                    let ok = frame::write_frame(
+                        &mut stream,
+                        &Frame::bare(FrameType::Pong, f.request_id),
+                    )
+                    .is_ok();
+                    if ok {
+                        self.state
+                            .stats
+                            .record_ping(t0.elapsed().as_micros() as u64);
+                    }
+                    ok
+                }
+                FrameType::Stats => {
+                    // Served regardless of drain state: an operator
+                    // watching a drain is the moment stats matter most.
+                    // The snapshot reads atomics and clones histograms —
+                    // service never pauses.
+                    count("server.stats_requests", 1);
+                    let json = self.state.stats.snapshot_json(
+                        self.service.pending_jobs(),
+                        self.state.active_requests.load(Ordering::Acquire),
+                        self.state.draining.load(Ordering::Acquire),
+                    );
+                    count("server.frames_tx", 1);
+                    let reply = Frame {
+                        frame_type: FrameType::StatsReport,
+                        request_id: f.request_id,
+                        trace_id: f.trace_id,
+                        payload: json.into_bytes(),
+                    };
+                    frame::write_frame(&mut stream, &reply).is_ok()
+                }
+                FrameType::Shutdown => {
+                    count("server.shutdown_requested", 1);
+                    let _ = frame::write_frame(
+                        &mut stream,
+                        &Frame::bare(FrameType::Goodbye, f.request_id),
+                    );
+                    self.state.draining.store(true, Ordering::Release);
+                    // Wake the accept loop the same way a handle would.
+                    if let Ok(addr) = stream.local_addr() {
+                        let _ = TcpStream::connect(addr);
+                    }
+                    false
+                }
+                FrameType::Request | FrameType::Volume => {
+                    self.handle_diagnosis(&mut stream, &f, decode)
+                }
+                // A client sending server-side frames is out of protocol;
+                // frame-bounded, answer and continue.
+                _ => {
+                    count("server.frames_bad", 1);
+                    frame::write_frame(
+                        &mut stream,
+                        &error_frame(
+                            f.request_id,
+                            ErrorCode::Protocol,
+                            "unexpected server-to-client frame type",
+                        ),
+                    )
+                    .is_ok()
+                }
+            };
+            if !keep {
+                return;
             }
         }
-        Fill::Done
     }
 
-    /// Runs one diagnosis request: parse, retry loop, stream, respond —
-    /// wrapped in the request's telemetry (trace, live stats, event-log
-    /// record). Returns whether the connection should keep serving.
-    fn handle_request(
+    /// Serves one `Request` or `Volume` frame inside its telemetry: the
+    /// trace (adopting the client's trace id, or minting one) with the
+    /// measured `server.decode` span as its first root, the per-kind
+    /// counter and root span, the live stats and the event-log record.
+    /// The root span and the recorded latency end when the answer is
+    /// ready; writing it comes after. Returns whether the connection
+    /// should keep serving.
+    fn handle_diagnosis(
         &mut self,
         stream: &mut TcpStream,
         request: &Frame,
-        decode_start: Instant,
-        decode_us: u64,
+        (decode_start, decode): (Instant, Duration),
     ) -> bool {
         let t0 = Instant::now();
-        count("server.requests_received", 1);
+        let (kind, counter, root) = if request.frame_type == FrameType::Volume {
+            (
+                RequestKind::Volume,
+                "server.volume_requests",
+                "server.volume",
+            )
+        } else {
+            (
+                RequestKind::Request,
+                "server.requests_received",
+                "server.request",
+            )
+        };
+        count(counter, 1);
         count("server.requests_total", 1);
-        let trace = self.start_trace(request, decode_start, decode_us);
-        let (keep, outcome) = self.run_request(stream, request, &trace);
-        self.finish_request(
-            &trace,
-            request.request_id,
-            RequestKind::Request,
-            outcome,
-            t0,
-        );
+        let trace = TraceContext::new(request.trace_id.unwrap_or_else(icd_obs::mint_trace_id));
+        trace.record_span_external("server.decode", decode_start, decode);
+        let (answer, outcome) = {
+            let _entered = trace.enter();
+            let _root = icd_obs::span(root);
+            match kind {
+                RequestKind::Volume => self.run_volume(stream, request, &trace),
+                _ => self.run_request(stream, request, &trace),
+            }
+        };
+        // The request is recorded before its answer goes out, so a client
+        // holding the answer finds it in the next Stats frame.
+        let latency_us = t0.elapsed().as_micros() as u64;
+        self.state.stats.record_request(kind, outcome, latency_us);
+        let keep = frame::write_frame(stream, &answer).is_ok();
+        self.log_request(&trace, request.request_id, kind, outcome, latency_us);
         keep
     }
 
-    /// Builds the request's trace: adopts the client-supplied trace id
-    /// (or mints one) and injects the already-measured frame-decode span
-    /// as the forest's first root.
-    fn start_trace(&self, request: &Frame, decode_start: Instant, decode_us: u64) -> TraceContext {
-        let trace = TraceContext::new(request.trace_id.unwrap_or_else(icd_obs::mint_trace_id));
-        trace.record_span_external(
-            "server.decode",
-            decode_start,
-            Duration::from_micros(decode_us),
-        );
-        trace
-    }
-
-    /// Records the finished request into the live stats and, when an
-    /// event log is configured, writes its structured JSONL record.
-    fn finish_request(
+    /// Counts a slow request and, when an event log is configured,
+    /// writes the request's structured JSONL record.
+    fn log_request(
         &self,
         trace: &TraceContext,
         request_id: u64,
         kind: RequestKind,
         outcome: RequestOutcome,
-        t0: Instant,
+        latency_us: u64,
     ) {
-        let latency_us = t0.elapsed().as_micros() as u64;
-        self.state.stats.record_request(kind, outcome, latency_us);
         let slow = latency_us >= self.config.slow_threshold.as_micros() as u64;
         if slow {
             count("server.requests_slow", 1);
@@ -685,58 +669,35 @@ impl Connection {
         }
     }
 
-    /// The body of one diagnosis request, executed with the trace
-    /// entered on the connection thread: parse, retry loop, stream,
-    /// respond. Returns `(keep_serving, outcome)`.
-    fn run_request(
-        &mut self,
-        stream: &mut TcpStream,
-        request: &Frame,
-        trace: &TraceContext,
-    ) -> (bool, RequestOutcome) {
-        let _entered = trace.enter();
-        let _root = icd_obs::span("server.request");
-        let Some((deadline_ms, text)) = frame::parse_request_payload(&request.payload) else {
-            count("server.requests_bad_payload", 1);
-            trace.event(
-                "error.bad_payload",
-                "request payload too short or not UTF-8",
-            );
-            let keep = frame::write_frame(
-                stream,
-                &error_frame(
-                    request.request_id,
-                    ErrorCode::BadPayload,
-                    "request payload too short or not UTF-8",
-                )
-                .with_trace_id(Some(trace.trace_id())),
-            )
-            .is_ok();
-            return (keep, RequestOutcome::Failed);
-        };
-        let datalog = match icd_faultsim::datalog_text::parse(text) {
-            Ok(d) => d,
-            Err(e) => {
-                count("server.requests_bad_payload", 1);
-                trace.event("error.bad_payload", e.to_string());
-                let keep = frame::write_frame(
-                    stream,
-                    &error_frame(request.request_id, ErrorCode::BadPayload, &e.to_string())
-                        .with_trace_id(Some(trace.trace_id())),
-                )
-                .is_ok();
-                return (keep, RequestOutcome::Failed);
-            }
-        };
+    /// The request's cancellation token: its own deadline (the server
+    /// default for `deadline_ms = 0`), hung off the drain token so a
+    /// forced drain cancels every in-flight request with one call.
+    fn request_token(&self, deadline_ms: u32) -> CancelToken {
         let deadline = if deadline_ms == 0 {
             self.config.default_deadline
         } else {
             Duration::from_millis(u64::from(deadline_ms))
         };
-        // The request token hangs off the drain token: a forced drain
-        // cancels every in-flight request with one call.
-        let token = self.state.drain_token.child_with_deadline(Some(deadline));
+        self.state.drain_token.child_with_deadline(Some(deadline))
+    }
+
+    /// The body of one diagnosis request: parse, retry loop, stream.
+    /// Returns the answer frame and the request's outcome.
+    fn run_request(
+        &mut self,
+        stream: &mut TcpStream,
+        request: &Frame,
+        trace: &TraceContext,
+    ) -> (Frame, RequestOutcome) {
         let id = request.request_id;
+        let Some((deadline_ms, text)) = frame::parse_request_payload(&request.payload) else {
+            return bad_payload(id, trace, "request payload too short or not UTF-8");
+        };
+        let datalog = match icd_faultsim::datalog_text::parse(text) {
+            Ok(d) => d,
+            Err(e) => return bad_payload(id, trace, &e.to_string()),
+        };
+        let token = self.request_token(deadline_ms);
 
         self.state.active_requests.fetch_add(1, Ordering::AcqRel);
         let result = self.diagnose_with_retry(stream, id, trace, &datalog, &token);
@@ -744,104 +705,52 @@ impl Connection {
 
         match result {
             Ok(report) => {
-                let (status, outcome) = if report.is_degraded() {
-                    count("server.requests_degraded", 1);
-                    trace.event("degraded", "report shipped with skipped work");
-                    (ResponseStatus::Degraded, RequestOutcome::Degraded)
-                } else {
-                    count("server.requests_ok", 1);
-                    (ResponseStatus::Ok, RequestOutcome::Clean)
-                };
+                let degraded = report
+                    .is_degraded()
+                    .then(|| "report shipped with skipped work".to_owned());
                 let summary = summarize_report(self.service.context(), &report);
-                count("server.frames_tx", 1);
-                let keep = frame::write_frame(
-                    stream,
-                    &report_frame(id, status, &summary).with_trace_id(Some(trace.trace_id())),
-                )
-                .is_ok();
-                (keep, outcome)
+                respond(id, trace, degraded, &summary)
             }
-            Err((code, message)) => {
-                let outcome = match code {
-                    ErrorCode::DeadlineExceeded => {
-                        count("server.requests_deadline_exceeded", 1);
-                        RequestOutcome::Failed
+            Err(failure) => {
+                let (counter, outcome) = match failure {
+                    Failure::Deadline(_) => {
+                        ("server.requests_deadline_exceeded", RequestOutcome::Failed)
                     }
-                    ErrorCode::Busy => {
-                        count("server.requests_rejected_busy", 1);
-                        RequestOutcome::Rejected
-                    }
-                    _ => {
-                        count("server.requests_failed", 1);
-                        RequestOutcome::Failed
+                    Failure::Busy(_) => ("server.requests_rejected_busy", RequestOutcome::Rejected),
+                    Failure::Internal(_) | Failure::ClientGone => {
+                        ("server.requests_failed", RequestOutcome::Failed)
                     }
                 };
-                trace.event("error", message.clone());
-                let keep = frame::write_frame(
-                    stream,
-                    &error_frame(id, code, &message).with_trace_id(Some(trace.trace_id())),
-                )
-                .is_ok();
-                (keep, outcome)
+                count(counter, 1);
+                (fail(id, trace, &failure), outcome)
             }
         }
     }
 
-    /// Runs one volume request: parse the corpus, diagnose every device
-    /// under one deadline token, aggregate, respond with the canonical
-    /// volume-report JSON. Returns whether the connection should keep
-    /// serving.
+    /// The body of one volume request: parse the corpus, diagnose every
+    /// device under one deadline token, aggregate into the canonical
+    /// volume-report JSON. Returns the answer frame and the outcome.
     ///
     /// Per-device behaviour mirrors `icdiag volume`: unparseable datalog
     /// texts are skipped (counted, reflected in the report's coverage),
     /// per-device diagnosis failures degrade the report instead of
-    /// failing the request. Only an unusable payload or an expired
-    /// deadline fails the whole request. Progress/Suspects frames are
-    /// streamed per device under the volume request id; clients collect
-    /// until the final Report frame.
-    fn handle_volume(
-        &mut self,
-        stream: &mut TcpStream,
-        request: &Frame,
-        decode_start: Instant,
-        decode_us: u64,
-    ) -> bool {
-        let t0 = Instant::now();
-        count("server.volume_requests", 1);
-        count("server.requests_total", 1);
-        let trace = self.start_trace(request, decode_start, decode_us);
-        let (keep, outcome) = self.run_volume(stream, request, &trace);
-        self.finish_request(&trace, request.request_id, RequestKind::Volume, outcome, t0);
-        keep
-    }
-
-    /// The body of one volume request, executed with the trace entered
-    /// on the connection thread. Returns `(keep_serving, outcome)`.
+    /// failing the request. Only an unusable payload, an expired
+    /// deadline or a vanished client fails the whole request.
+    /// Progress/Suspects frames are streamed per device under the volume
+    /// request id; clients collect until the final Report frame.
     fn run_volume(
         &mut self,
         stream: &mut TcpStream,
         request: &Frame,
         trace: &TraceContext,
-    ) -> (bool, RequestOutcome) {
-        let _entered = trace.enter();
-        let _root = icd_obs::span("server.volume");
+    ) -> (Frame, RequestOutcome) {
+        let id = request.request_id;
         let Some((deadline_ms, devices)) = frame::parse_volume_payload(&request.payload) else {
-            count("server.requests_bad_payload", 1);
-            trace.event(
-                "error.bad_payload",
+            return bad_payload(
+                id,
+                trace,
                 "volume payload malformed (length fields or UTF-8)",
             );
-            let keep = frame::write_frame(
-                stream,
-                &error_frame(
-                    request.request_id,
-                    ErrorCode::BadPayload,
-                    "volume payload malformed (length fields or UTF-8)",
-                )
-                .with_trace_id(Some(trace.trace_id())),
-            )
-            .is_ok();
-            return (keep, RequestOutcome::Failed);
         };
         let mut skipped = 0usize;
         let mut parsed: Vec<(String, icd_faultsim::Datalog)> = Vec::with_capacity(devices.len());
@@ -855,18 +764,12 @@ impl Connection {
             }
         }
         count("server.volume_devices", parsed.len() as u64);
-        let deadline = if deadline_ms == 0 {
-            self.config.default_deadline
-        } else {
-            Duration::from_millis(u64::from(deadline_ms))
-        };
-        let token = self.state.drain_token.child_with_deadline(Some(deadline));
-        let id = request.request_id;
+        let token = self.request_token(deadline_ms);
 
         self.state.active_requests.fetch_add(1, Ordering::AcqRel);
         let mut reports: Vec<(String, FlowReport)> = Vec::new();
         let mut failed = 0usize;
-        let mut fatal: Option<(ErrorCode, String)> = None;
+        let mut fatal = None;
         for (name, datalog) in &parsed {
             let device_t0 = Instant::now();
             let result = self.diagnose_with_retry(stream, id, trace, datalog, &token);
@@ -880,14 +783,10 @@ impl Connection {
             );
             match result {
                 Ok(report) => reports.push((name.clone(), report)),
-                Err((ErrorCode::DeadlineExceeded, message)) => {
-                    // The shared deadline is spent; nothing after this
-                    // device can complete either.
-                    fatal = Some((ErrorCode::DeadlineExceeded, message));
-                    break;
-                }
-                Err((ErrorCode::Internal, message)) if message.contains("connection lost") => {
-                    fatal = Some((ErrorCode::Internal, message));
+                // The shared deadline is spent, or nobody is listening:
+                // nothing after this device can complete either.
+                Err(failure @ (Failure::Deadline(_) | Failure::ClientGone)) => {
+                    fatal = Some(failure);
                     break;
                 }
                 Err(_) => failed += 1,
@@ -895,15 +794,9 @@ impl Connection {
         }
         self.state.active_requests.fetch_sub(1, Ordering::AcqRel);
 
-        if let Some((code, message)) = fatal {
+        if let Some(failure) = fatal {
             count("server.requests_failed", 1);
-            trace.event("error", message.clone());
-            let keep = frame::write_frame(
-                stream,
-                &error_frame(id, code, &message).with_trace_id(Some(trace.trace_id())),
-            )
-            .is_ok();
-            return (keep, RequestOutcome::Failed);
+            return (fail(id, trace, &failure), RequestOutcome::Failed);
         }
         let ctx = self.service.context();
         let named: Vec<(String, &FlowReport)> =
@@ -918,29 +811,14 @@ impl Connection {
         );
         // Degraded mirrors `icdiag volume` exit code 3: part of the
         // failing population never made it into the aggregate.
-        let (status, outcome) =
-            if volume_report.devices_failed > 0 || volume_report.devices_skipped > 0 {
-                count("server.requests_degraded", 1);
-                trace.event(
-                    "degraded",
-                    format!(
-                        "devices failed={} skipped={}",
-                        volume_report.devices_failed, volume_report.devices_skipped
-                    ),
-                );
-                (ResponseStatus::Degraded, RequestOutcome::Degraded)
-            } else {
-                count("server.requests_ok", 1);
-                (ResponseStatus::Ok, RequestOutcome::Clean)
-            };
-        count("server.frames_tx", 1);
-        let keep = frame::write_frame(
-            stream,
-            &report_frame(id, status, &volume_report.to_json())
-                .with_trace_id(Some(trace.trace_id())),
-        )
-        .is_ok();
-        (keep, outcome)
+        let degraded = (volume_report.devices_failed > 0 || volume_report.devices_skipped > 0)
+            .then(|| {
+                format!(
+                    "devices failed={} skipped={}",
+                    volume_report.devices_failed, volume_report.devices_skipped
+                )
+            });
+        respond(id, trace, degraded, &volume_report.to_json())
     }
 
     /// The transient-failure retry loop around one streamed diagnosis.
@@ -958,149 +836,501 @@ impl Connection {
         trace: &TraceContext,
         datalog: &icd_faultsim::Datalog,
         token: &CancelToken,
-    ) -> Result<FlowReport, (ErrorCode, String)> {
+    ) -> Result<FlowReport, Failure> {
         let trace_id = Some(trace.trace_id());
         let mut attempt = 0u32;
         loop {
             if token.is_cancelled() {
-                return Err((
-                    ErrorCode::DeadlineExceeded,
-                    "request cancelled before completion".to_owned(),
-                ));
+                return Err(Failure::Deadline("request cancelled before completion"));
             }
             // Stream progress frames as they happen; a retried attempt
             // re-emits (last write wins on the client side).
-            let mut stream_ok = true;
+            let mut client_gone = false;
             let mut on_event = |ev: StreamEvent<'_>| {
-                let frame = match ev {
-                    StreamEvent::Suspects(gates) => {
-                        let body = gates
+                let (frame_type, body) = match ev {
+                    StreamEvent::Suspects(gates) => (
+                        FrameType::Suspects,
+                        gates
                             .iter()
                             .map(|g| g.index().to_string())
                             .collect::<Vec<_>>()
-                            .join(" ");
-                        Frame {
-                            frame_type: FrameType::Suspects,
-                            request_id: id,
-                            trace_id,
-                            payload: body.into_bytes(),
-                        }
-                    }
-                    StreamEvent::SuspectDone { slot, gate, ok } => Frame {
-                        frame_type: FrameType::Progress,
-                        request_id: id,
-                        trace_id,
-                        payload: format!("slot={slot} gate={} ok={}", gate.index(), u8::from(ok))
-                            .into_bytes(),
-                    },
+                            .join(" "),
+                    ),
+                    StreamEvent::SuspectDone { slot, gate, ok } => (
+                        FrameType::Progress,
+                        format!("slot={slot} gate={} ok={}", gate.index(), u8::from(ok)),
+                    ),
+                };
+                let frame = Frame {
+                    frame_type,
+                    request_id: id,
+                    trace_id,
+                    payload: body.into_bytes(),
                 };
                 count("server.frames_tx", 1);
                 if frame::write_frame(stream, &frame).is_err() {
-                    stream_ok = false;
+                    client_gone = true;
                 }
             };
             let outcome =
                 self.service
                     .diagnose_streamed_traced(datalog, token, Some(trace), &mut on_event);
-            if !stream_ok {
-                // The client is gone; cancel our own work and stop.
+            if client_gone {
+                // Nobody is listening; cancel our own work and stop.
                 token.cancel();
-                return Err((
-                    ErrorCode::Internal,
-                    "client connection lost mid-stream".to_owned(),
-                ));
+                return Err(Failure::ClientGone);
             }
-            let transient: &str = match outcome {
-                Ok(report) => {
-                    let panicked = report
-                        .skipped
-                        .iter()
-                        .any(|s| matches!(s.error, FlowError::Panicked(_)));
-                    if !panicked || token.is_cancelled() {
-                        return Ok(report);
-                    }
-                    // Retry panicked-suspect degradation; if the budget
-                    // is spent, the degraded partial report IS the
-                    // answer (graceful degradation, not an error).
-                    match self.config.backoff.delay(attempt, &mut self.jitter) {
-                        Some(delay) => {
-                            count("server.retries_panic", 1);
-                            trace.event(
-                                "retry.panic",
-                                format!("panicked suspect slots, attempt={attempt}"),
-                            );
-                            thread::sleep(delay);
-                            attempt += 1;
-                            continue;
-                        }
-                        None => {
-                            trace.event(
-                                "degraded",
-                                "panicked suspect slots survived the retry budget",
-                            );
-                            return Ok(report);
-                        }
-                    }
+            let transient = match outcome {
+                Ok(report)
+                    if token.is_cancelled()
+                        || !report
+                            .skipped
+                            .iter()
+                            .any(|s| matches!(s.error, FlowError::Panicked(_))) =>
+                {
+                    return Ok(report);
                 }
-                Err(ServiceError::Busy) => "queue full",
-                Err(ServiceError::Job(JobError::Panicked(_))) => "front panic",
+                Ok(report) => Transient::PanickedSlots(report),
+                Err(ServiceError::Busy) => Transient::QueueFull,
+                Err(ServiceError::Job(JobError::Panicked(_))) => Transient::FrontPanic,
                 Err(ServiceError::Job(JobError::Flow(FlowError::Cancelled))) => {
-                    return Err((
-                        ErrorCode::DeadlineExceeded,
-                        "deadline expired before the front stage ran".to_owned(),
+                    return Err(Failure::Deadline(
+                        "deadline expired before the front stage ran",
                     ));
                 }
-                Err(ServiceError::Job(e)) => return Err((ErrorCode::Internal, e.to_string())),
+                Err(ServiceError::Job(e)) => return Err(Failure::Internal(e.to_string())),
             };
-            match self.config.backoff.delay(attempt, &mut self.jitter) {
-                Some(delay) => {
-                    count(
-                        if transient == "queue full" {
-                            "server.retries_busy"
-                        } else {
-                            "server.retries_panic"
-                        },
-                        1,
-                    );
-                    trace.event(
-                        if transient == "queue full" {
-                            "retry.busy"
-                        } else {
-                            "retry.panic"
-                        },
-                        format!("{transient}, attempt={attempt}"),
-                    );
-                    thread::sleep(delay);
-                    attempt += 1;
-                }
-                None if transient == "queue full" => {
-                    return Err((
-                        ErrorCode::Busy,
-                        format!("queue stayed full through {attempt} retries"),
-                    ));
-                }
-                None => {
-                    return Err((
-                        ErrorCode::Internal,
-                        format!("worker panic survived {attempt} retries"),
-                    ));
-                }
-            }
+            let Some(delay) = self.config.backoff.delay(attempt, &mut self.jitter) else {
+                // The budget is spent. Panicked slots ship as a degraded
+                // partial report (graceful degradation, not an error).
+                return match transient {
+                    Transient::PanickedSlots(report) => {
+                        trace.event(
+                            "degraded",
+                            "panicked suspect slots survived the retry budget",
+                        );
+                        Ok(report)
+                    }
+                    Transient::FrontPanic => Err(Failure::Internal(format!(
+                        "worker panic survived {attempt} retries"
+                    ))),
+                    Transient::QueueFull => Err(Failure::Busy(attempt)),
+                };
+            };
+            let (counter, event, what) = match transient {
+                Transient::PanickedSlots(_) => (
+                    "server.retries_panic",
+                    "retry.panic",
+                    "panicked suspect slots",
+                ),
+                Transient::FrontPanic => ("server.retries_panic", "retry.panic", "front panic"),
+                Transient::QueueFull => ("server.retries_busy", "retry.busy", "queue full"),
+            };
+            count(counter, 1);
+            trace.event(event, format!("{what}, attempt={attempt}"));
+            thread::sleep(delay);
+            attempt += 1;
         }
     }
 }
 
-enum Fill {
-    Done,
-    CleanEof,
-    TruncatedEof {
-        got: usize,
-    },
-    TimedOut {
-        any_bytes: bool,
-    },
-    Draining,
-    /// The socket failed outright (reset, refused, OS error); the
-    /// connection just closes — nothing useful can be written back.
-    Io,
+/// An `Error` answer carrying the request's trace id, with `event`
+/// recorded on the trace.
+fn error_answer(
+    id: u64,
+    trace: &TraceContext,
+    event: &'static str,
+    code: ErrorCode,
+    message: &str,
+) -> Frame {
+    trace.event(event, message);
+    error_frame(id, code, message).with_trace_id(Some(trace.trace_id()))
+}
+
+/// The answer to a payload that is not a usable request: a typed
+/// `BadPayload` error, counted as a failed request.
+fn bad_payload(id: u64, trace: &TraceContext, message: &str) -> (Frame, RequestOutcome) {
+    count("server.requests_bad_payload", 1);
+    let answer = error_answer(
+        id,
+        trace,
+        "error.bad_payload",
+        ErrorCode::BadPayload,
+        message,
+    );
+    (answer, RequestOutcome::Failed)
+}
+
+/// The answer to a diagnosis that produced no report.
+fn fail(id: u64, trace: &TraceContext, failure: &Failure) -> Frame {
+    error_answer(id, trace, "error", failure.code(), &failure.message())
+}
+
+/// The final `Report` answer. `degraded` is the trace event's detail
+/// when the answer is partial.
+fn respond(
+    id: u64,
+    trace: &TraceContext,
+    degraded: Option<String>,
+    summary: &str,
+) -> (Frame, RequestOutcome) {
+    let (status, outcome) = match degraded {
+        Some(detail) => {
+            count("server.requests_degraded", 1);
+            trace.event("degraded", detail);
+            (ResponseStatus::Degraded, RequestOutcome::Degraded)
+        }
+        None => {
+            count("server.requests_ok", 1);
+            (ResponseStatus::Ok, RequestOutcome::Clean)
+        }
+    };
+    let mut payload = Vec::with_capacity(1 + summary.len());
+    payload.push(status as u8);
+    payload.extend_from_slice(summary.as_bytes());
+    count("server.frames_tx", 1);
+    let answer = Frame {
+        frame_type: FrameType::Report,
+        request_id: id,
+        trace_id: Some(trace.trace_id()),
+        payload,
+    };
+    (answer, outcome)
+}
+
+#[cfg(test)]
+mod tests {
+    //! Failure paths that need a deterministic pool: one worker whose
+    //! jobs wait at a gate until the test opens it.
+
+    use std::collections::BTreeMap;
+    use std::io::Write;
+    use std::net::Shutdown;
+    use std::sync::{mpsc, Mutex, PoisonError};
+    use std::time::{SystemTime, UNIX_EPOCH};
+
+    use icd_engine::{synthesize_batch, BatchConfig};
+    use icd_faultsim::datalog_text;
+    use icd_netlist::generator;
+
+    use super::*;
+    use crate::client::{Client, ClientError, Response};
+
+    const IO_TIMEOUT: Duration = Duration::from_secs(30);
+
+    /// A running one-worker daemon. Every job first reports on `entered`,
+    /// then waits at the gate until `open_gate` drops its sender.
+    struct Gated {
+        addr: SocketAddr,
+        handle: ServerHandle,
+        service: Arc<DiagnosisService>,
+        join: thread::JoinHandle<io::Result<DrainOutcome>>,
+        entered: mpsc::Receiver<()>,
+        open: Option<mpsc::Sender<()>>,
+        /// Failing device logs of the served design, as datalog text.
+        texts: Vec<String>,
+    }
+
+    impl Gated {
+        fn start(config: ServerConfig) -> Gated {
+            let ctx = ExperimentContext::from_preset(&generator::circuit_a(), 4, 16)
+                .expect("scaled circuit A builds")
+                .into_shared();
+            let texts: Vec<String> = synthesize_batch(&ctx, &BatchConfig::new(4, 0x5eed))
+                .expect("batch synthesizes")
+                .iter()
+                .filter(|d| !d.all_pass())
+                .map(datalog_text::write)
+                .collect();
+            assert!(texts.len() >= 2, "need two failing devices");
+            let (entered_tx, entered) = mpsc::channel();
+            let (open, open_rx) = mpsc::channel::<()>();
+            let gate = Mutex::new((entered_tx, open_rx));
+            let hook = Arc::new(move || {
+                let gate = gate.lock().unwrap_or_else(PoisonError::into_inner);
+                let _ = gate.0.send(());
+                let _ = gate.1.recv();
+            });
+            let service = DiagnosisService::new(ctx, 1, config.queue_capacity, config.submit_wait)
+                .expect("service builds")
+                .with_job_hook(hook);
+            let server = Server {
+                listener: TcpListener::bind("127.0.0.1:0").expect("binds loopback"),
+                service: Arc::new(service),
+                config: Arc::new(config),
+                state: Arc::new(ServerState {
+                    draining: AtomicBool::new(false),
+                    drain_token: CancelToken::new(),
+                    active_requests: AtomicUsize::new(0),
+                    connection_seq: AtomicUsize::new(0),
+                    stats: LiveStats::new(),
+                }),
+            };
+            let addr = server.local_addr().expect("local addr");
+            let handle = server.handle().expect("handle");
+            let service = Arc::clone(&server.service);
+            let join = thread::spawn(move || server.run());
+            Gated {
+                addr,
+                handle,
+                service,
+                join,
+                entered,
+                open: Some(open),
+                texts,
+            }
+        }
+
+        /// Submits `texts[i]` from a client thread of its own.
+        fn submit_in_background(
+            &self,
+            i: usize,
+            deadline_ms: u32,
+        ) -> thread::JoinHandle<Result<Response, ClientError>> {
+            let addr = self.addr;
+            let text = self.texts[i].clone();
+            thread::spawn(move || {
+                Client::connect(addr, IO_TIMEOUT)
+                    .map_err(ClientError::from)?
+                    .submit(&text, deadline_ms)
+            })
+        }
+
+        fn wait_entered(&self) {
+            self.entered
+                .recv_timeout(IO_TIMEOUT)
+                .expect("a job reached the gate");
+        }
+
+        /// Polls until `n` jobs are queued or running.
+        fn wait_pending(&self, n: usize) {
+            let deadline = Instant::now() + IO_TIMEOUT;
+            while self.service.pending_jobs() < n {
+                assert!(Instant::now() < deadline, "never saw {n} pending jobs");
+                thread::sleep(Duration::from_millis(1));
+            }
+        }
+
+        fn open_gate(&mut self) {
+            self.open = None;
+        }
+
+        /// The Stats frame's `requests` counters, polled until at least
+        /// `total` requests are recorded.
+        fn requests(&self, total: u64) -> BTreeMap<String, u64> {
+            let mut client = Client::connect(self.addr, IO_TIMEOUT).expect("connects");
+            let deadline = Instant::now() + IO_TIMEOUT;
+            loop {
+                let json = client.stats().expect("stats answered");
+                let snapshot = icd_obs::json::parse(&json).expect("stats JSON");
+                let requests: BTreeMap<String, u64> = snapshot
+                    .get("requests")
+                    .and_then(|r| r.as_object())
+                    .expect("requests object")
+                    .iter()
+                    .map(|(k, v)| (k.clone(), v.as_u64().expect("integer counter")))
+                    .collect();
+                if requests["total"] >= total || Instant::now() >= deadline {
+                    return requests;
+                }
+                thread::sleep(Duration::from_millis(1));
+            }
+        }
+
+        fn finish(mut self) {
+            self.open_gate();
+            self.handle.shutdown();
+            let outcome = self.join.join().expect("server thread").expect("run");
+            assert_eq!(outcome, DrainOutcome::Clean);
+        }
+    }
+
+    fn assert_partition(requests: &BTreeMap<String, u64>) {
+        assert_eq!(
+            requests["total"],
+            requests["clean"] + requests["degraded"] + requests["failed"] + requests["rejected"],
+            "{requests:?}"
+        );
+    }
+
+    #[test]
+    fn a_full_queue_is_answered_busy_and_counted_rejected() {
+        let mut daemon = Gated::start(ServerConfig {
+            queue_capacity: 1,
+            submit_wait: Duration::from_millis(20),
+            backoff: BackoffConfig {
+                max_retries: 1,
+                base: Duration::from_millis(1),
+                cap: Duration::from_millis(1),
+            },
+            ..ServerConfig::default()
+        });
+        // One request holds the worker at the gate, a second fills the
+        // only queue slot.
+        let first = daemon.submit_in_background(0, 0);
+        daemon.wait_entered();
+        let second = daemon.submit_in_background(1, 0);
+        daemon.wait_pending(2);
+
+        let mut client = Client::connect(daemon.addr, IO_TIMEOUT).expect("connects");
+        match client.submit(&daemon.texts[0], 0) {
+            Err(ClientError::Server {
+                code: Some(ErrorCode::Busy),
+                message,
+            }) => assert_eq!(message, "queue stayed full through 1 retries"),
+            other => panic!("expected a Busy error, got {other:?}"),
+        }
+        let during = daemon.requests(1);
+        assert_eq!((during["total"], during["rejected"]), (1, 1), "{during:?}");
+
+        daemon.open_gate();
+        first.join().expect("first client").expect("first answered");
+        second
+            .join()
+            .expect("second client")
+            .expect("second answered");
+        let after = daemon.requests(3);
+        assert_eq!((after["total"], after["rejected"]), (3, 1), "{after:?}");
+        assert_partition(&after);
+        daemon.finish();
+    }
+
+    #[test]
+    fn a_deadline_that_expires_in_the_queue_fails_before_the_front_stage() {
+        let mut daemon = Gated::start(ServerConfig::default());
+        let first = daemon.submit_in_background(0, 0);
+        daemon.wait_entered();
+        let late = daemon.submit_in_background(1, 50);
+        daemon.wait_pending(2);
+        // The 50 ms deadline passes while the front job waits its turn.
+        thread::sleep(Duration::from_millis(100));
+        daemon.open_gate();
+
+        match late.join().expect("late client") {
+            Err(ClientError::Server {
+                code: Some(ErrorCode::DeadlineExceeded),
+                message,
+            }) => assert_eq!(message, "deadline expired before the front stage ran"),
+            other => panic!("expected DeadlineExceeded, got {other:?}"),
+        }
+        first.join().expect("first client").expect("first answered");
+        let after = daemon.requests(2);
+        assert_eq!((after["total"], after["failed"]), (2, 1), "{after:?}");
+        assert_partition(&after);
+        daemon.finish();
+    }
+
+    #[test]
+    fn a_payload_cut_short_reports_the_bytes_that_arrived() {
+        let mut daemon = Gated::start(ServerConfig::default());
+        daemon.open_gate();
+        let request = Frame {
+            frame_type: FrameType::Request,
+            request_id: 3,
+            trace_id: None,
+            payload: frame::request_payload(0, &daemon.texts[0]),
+        };
+        let bytes = frame::encode(&request);
+        let mut stream = TcpStream::connect(daemon.addr).expect("connects");
+        stream
+            .set_read_timeout(Some(IO_TIMEOUT))
+            .expect("read timeout");
+        stream
+            .write_all(&bytes[..HEADER_LEN + 10])
+            .expect("writes part of a frame");
+        stream.shutdown(Shutdown::Write).expect("half-closes");
+        let answer = frame::read_frame(&mut stream, frame::DEFAULT_MAX_PAYLOAD)
+            .expect("error frame decodes")
+            .expect("an answer");
+        assert_eq!(answer.frame_type, FrameType::Error);
+        assert_eq!(answer.payload[0], ErrorCode::Protocol as u8);
+        let expected = format!(
+            "stream truncated reading payload: needed {} bytes, got 10",
+            bytes.len() - HEADER_LEN
+        );
+        assert_eq!(String::from_utf8_lossy(&answer.payload[1..]), expected);
+        daemon.finish();
+    }
+
+    #[test]
+    fn a_volume_client_that_disconnects_mid_stream_stops_the_lot() {
+        let nanos = SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .map_or(0, |d| d.as_nanos());
+        let log_path = std::env::temp_dir().join(format!(
+            "icd-server-disconnect-{}-{nanos}.jsonl",
+            std::process::id()
+        ));
+        let event_log = EventLog::open(&log_path, icd_obs::DEFAULT_MAX_BYTES).expect("log opens");
+        let mut daemon = Gated::start(ServerConfig {
+            event_log: Some(Arc::new(event_log)),
+            ..ServerConfig::default()
+        });
+        let lot: Vec<(String, String)> = (0..8)
+            .map(|i| {
+                let text = daemon.texts[i % daemon.texts.len()].clone();
+                (format!("device-{i:03}.log"), text)
+            })
+            .collect();
+        let mut stream = TcpStream::connect(daemon.addr).expect("connects");
+        let volume = Frame {
+            frame_type: FrameType::Volume,
+            request_id: 1,
+            trace_id: None,
+            payload: frame::volume_request_payload(0, &lot),
+        };
+        frame::write_frame(&mut stream, &volume).expect("sends the lot");
+        // The first device's front job is at the gate: hang up, then let
+        // the daemon stream into the closed socket.
+        daemon.wait_entered();
+        drop(stream);
+        daemon.open_gate();
+
+        let mut client = Client::connect(daemon.addr, IO_TIMEOUT).expect("connects");
+        client.ping().expect("the daemon keeps serving");
+        client
+            .submit(&daemon.texts[0], 0)
+            .expect("a fresh request is served");
+        let text = |e: &icd_obs::json::Value, key: &str| {
+            e.get(key).and_then(|v| v.as_str()).map(str::to_owned)
+        };
+        let deadline = Instant::now() + IO_TIMEOUT;
+        let record = loop {
+            let log = std::fs::read_to_string(&log_path).unwrap_or_default();
+            // A record still being written does not parse yet.
+            let volume = log
+                .lines()
+                .filter_map(|line| icd_obs::json::parse(line).ok())
+                .find(|r| text(r, "kind").as_deref() == Some("volume"));
+            if let Some(record) = volume {
+                break record;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "no volume record in the event log"
+            );
+            thread::sleep(Duration::from_millis(5));
+        };
+        let events = record
+            .get("events")
+            .and_then(|e| e.as_array())
+            .expect("events");
+        let devices = events
+            .iter()
+            .filter(|e| text(e, "kind").as_deref() == Some("volume.device"))
+            .count();
+        assert!(devices < lot.len(), "the lot ran to the end: {devices}");
+        assert_eq!(text(&record, "outcome").as_deref(), Some("failed"));
+        assert!(events.iter().any(|e| {
+            text(e, "kind").as_deref() == Some("error")
+                && text(e, "detail").as_deref() == Some("client connection lost mid-stream")
+        }));
+
+        let after = daemon.requests(2);
+        assert_eq!((after["total"], after["failed"]), (2, 1), "{after:?}");
+        assert_eq!(after["volume"], 1);
+        assert_partition(&after);
+        daemon.finish();
+        let _ = std::fs::remove_file(&log_path);
+    }
 }

@@ -4,7 +4,7 @@
 //! byte-identical at 1 and 8 workers.
 //!
 //! The unredacted exports legitimately differ (latencies, thread ids,
-//! steal counts, cache hit/miss splits); the redaction contract is what
+//! queue high-water, cache hit/miss splits); the redaction contract is what
 //! makes observed runs comparable across machines and worker counts.
 //!
 //! The collector each observed run installs around the batch is process
