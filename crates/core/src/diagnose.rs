@@ -330,6 +330,24 @@ pub fn diagnose_with_cache(
     lpp: &[LocalTest],
     cache: Option<&AnalysisCache>,
 ) -> Result<DiagnosisReport, CoreError> {
+    procedure(cell, lfp, lpp, cache, |_, _, _, _, _| {})
+}
+
+/// The Fig. 9 procedure behind [`diagnose_with_cache`] and
+/// [`diagnose_traced`](crate::diagnose_traced). After each failing-pattern
+/// intersection and each passing-pattern vindication, `on_step` sees the
+/// processed test, whether it was failing, and the global lists (GSL,
+/// GBSL, GDSL) as they now stand. A no-op `on_step` compiles away.
+pub(crate) fn procedure<F>(
+    cell: &CellNetlist,
+    lfp: &[LocalTest],
+    lpp: &[LocalTest],
+    cache: Option<&AnalysisCache>,
+    mut on_step: F,
+) -> Result<DiagnosisReport, CoreError>
+where
+    F: FnMut(&LocalTest, bool, &SuspectList, &BridgeSuspectList, &DelaySuspectList),
+{
     if lfp.is_empty() {
         return Err(CoreError::NoFailingPatterns);
     }
@@ -348,30 +366,26 @@ pub fn diagnose_with_cache(
         .any(|t| passing_vectors.contains(t.inputs.as_slice()));
 
     // Block 1: per failing pattern, build and intersect the current lists.
-    let mut gsl: Option<SuspectList> = None;
-    let mut gbsl: Option<BridgeSuspectList> = None;
-    let mut gdsl: Option<DelaySuspectList> = None;
+    let mut lists: Option<(SuspectList, BridgeSuspectList, DelaySuspectList)> = None;
     for fp in lfp {
         let outcome = trace(&fp.inputs_lv())?;
         let csl = outcome.suspects.clone();
         let cbsl = bridge_list_from(cell, &outcome.suspects, &outcome.values);
         let cdsl = delay_suspects_from(cell, &fp.previous_lv(), &outcome)?;
-        gsl = Some(match gsl {
-            None => csl,
-            Some(g) => g.intersect(&csl),
-        });
-        gbsl = Some(match gbsl {
-            None => cbsl,
-            Some(g) => g.intersect(&cbsl),
-        });
-        gdsl = Some(match gdsl {
-            None => cdsl,
-            Some(g) => g.intersect(&cdsl),
-        });
+        let (gsl, gbsl, gdsl) = match lists {
+            None => (csl, cbsl, cdsl),
+            Some((gsl, gbsl, gdsl)) => (
+                gsl.intersect(&csl),
+                gbsl.intersect(&cbsl),
+                gdsl.intersect(&cdsl),
+            ),
+        };
+        on_step(fp, true, &gsl, &gbsl, &gdsl);
+        lists = Some((gsl, gbsl, gdsl));
     }
-    // lfp was checked non-empty, so all three lists were initialized; the
+    // lfp was checked non-empty, so the lists were initialized; the
     // graceful fallback keeps the diagnosis path panic-free regardless.
-    let (Some(mut gsl), Some(mut gbsl), Some(gdsl)) = (gsl, gbsl, gdsl) else {
+    let Some((mut gsl, mut gbsl, gdsl)) = lists else {
         return Err(CoreError::NoFailingPatterns);
     };
 
@@ -383,19 +397,18 @@ pub fn diagnose_with_cache(
         // passing patterns cannot exonerate delay faults).
         for pp in lpp {
             let outcome = trace(&pp.inputs_lv())?;
-            let vl = outcome.suspects.clone();
             let bvl = bridge_list_from(cell, &outcome.suspects, &outcome.values);
-            gsl = gsl.subtract(&vl);
+            gsl = gsl.subtract(&outcome.suspects);
             gbsl = gbsl.subtract(&bvl);
+            on_step(pp, false, &gsl, &gbsl, &gdsl);
         }
     }
 
     Ok(finish_report(cell, gsl, gbsl, gdsl, dynamic_only))
 }
 
-/// Allocates fault models and assembles the report — shared by
-/// [`diagnose`] and the traced variant.
-pub(crate) fn finish_report(
+/// Allocates fault models and assembles the report.
+fn finish_report(
     cell: &CellNetlist,
     gsl: SuspectList,
     gbsl: BridgeSuspectList,

@@ -261,12 +261,13 @@ pub fn rank_candidates(
     rank_candidates_with_cache(cell, report, lfp, lpp, None)
 }
 
-/// [`rank_candidates`] with an optional shared [`AnalysisCache`]: the
-/// cell's good truth table and its packed evaluator are fetched once per
-/// cell *type* instead of being re-derived per candidate × test, and the
-/// fault-free outcome of every local test is evaluated bit-parallel up
-/// front (it does not depend on the candidate). The ranking is identical
-/// to the uncached call.
+/// [`rank_candidates`] with an optional shared
+/// [`AnalysisCache`](crate::AnalysisCache): the cell's good truth table
+/// and its packed evaluator are fetched once per cell *type* instead of
+/// being re-derived per candidate × test, and the fault-free outcome of
+/// every local test is evaluated bit-parallel up front (it does not
+/// depend on the candidate). The ranking is identical to the uncached
+/// call.
 ///
 /// # Errors
 ///

@@ -1,7 +1,7 @@
 //! Step-by-step diagnosis trace — the Fig.-9 procedure made visible.
 //!
-//! [`diagnose_traced`] runs exactly the same algorithm as
-//! [`diagnose`](crate::diagnose) while recording how the global suspect
+//! [`diagnose_traced`] runs the very procedure behind
+//! [`diagnose`](crate::diagnose), recording how the global suspect
 //! lists evolve after each failing-pattern intersection and each
 //! passing-pattern vindication. The trace powers teaching output (see the
 //! `cell_explorer` example) and regression tests on the procedure's
@@ -11,11 +11,8 @@ use std::fmt;
 
 use icd_switch::CellNetlist;
 
-use crate::diagnose::bridge_list_from;
-use crate::{
-    delay_suspects, transistor_cpt, BridgeSuspectList, CoreError, DelaySuspectList,
-    DiagnosisReport, LocalTest, SuspectList,
-};
+use crate::diagnose::procedure;
+use crate::{CoreError, DiagnosisReport, LocalTest};
 
 /// What one step of the procedure did to the global lists.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,75 +75,16 @@ pub fn diagnose_traced(
     lfp: &[LocalTest],
     lpp: &[LocalTest],
 ) -> Result<(DiagnosisReport, DiagnosisTrace), CoreError> {
-    if lfp.is_empty() {
-        return Err(CoreError::NoFailingPatterns);
-    }
-    let passing_vectors: std::collections::BTreeSet<&[bool]> =
-        lpp.iter().map(|t| t.inputs.as_slice()).collect();
-    let dynamic_only = lfp
-        .iter()
-        .any(|t| passing_vectors.contains(t.inputs.as_slice()));
-
     let mut trace = DiagnosisTrace::default();
-    let mut gsl: Option<SuspectList> = None;
-    let mut gbsl: Option<BridgeSuspectList> = None;
-    let mut gdsl: Option<DelaySuspectList> = None;
-    for fp in lfp {
-        let inputs: Vec<_> = fp.inputs.iter().copied().map(icd_logic::Lv::from).collect();
-        let previous: Vec<_> = fp
-            .previous
-            .iter()
-            .copied()
-            .map(icd_logic::Lv::from)
-            .collect();
-        let outcome = transistor_cpt(cell, &inputs)?;
-        let cbsl = bridge_list_from(cell, &outcome.suspects, &outcome.values);
-        let cdsl = delay_suspects(cell, &previous, &inputs)?;
-        gsl = Some(match gsl {
-            None => outcome.suspects.clone(),
-            Some(g) => g.intersect(&outcome.suspects),
-        });
-        gbsl = Some(match gbsl {
-            None => cbsl,
-            Some(g) => g.intersect(&cbsl),
-        });
-        gdsl = Some(match gdsl {
-            None => cdsl,
-            Some(g) => g.intersect(&cdsl),
-        });
+    let report = procedure(cell, lfp, lpp, None, |test, failing, gsl, gbsl, gdsl| {
         trace.steps.push(TraceStep {
-            pattern: pattern_string(&fp.inputs),
-            failing: true,
-            gsl: gsl.as_ref().map_or(0, SuspectList::len),
-            gbsl: gbsl.as_ref().map_or(0, BridgeSuspectList::len),
-            gdsl: gdsl.as_ref().map_or(0, DelaySuspectList::len),
+            pattern: pattern_string(&test.inputs),
+            failing,
+            gsl: gsl.len(),
+            gbsl: gbsl.len(),
+            gdsl: gdsl.len(),
         });
-    }
-    let mut gsl = gsl.expect("lfp checked non-empty");
-    let mut gbsl = gbsl.expect("lfp checked non-empty");
-    let gdsl = gdsl.expect("lfp checked non-empty");
-
-    if dynamic_only {
-        gsl = SuspectList::new();
-        gbsl = BridgeSuspectList::new();
-    } else {
-        for pp in lpp {
-            let inputs: Vec<_> = pp.inputs.iter().copied().map(icd_logic::Lv::from).collect();
-            let outcome = transistor_cpt(cell, &inputs)?;
-            let bvl = bridge_list_from(cell, &outcome.suspects, &outcome.values);
-            gsl = gsl.subtract(&outcome.suspects);
-            gbsl = gbsl.subtract(&bvl);
-            trace.steps.push(TraceStep {
-                pattern: pattern_string(&pp.inputs),
-                failing: false,
-                gsl: gsl.len(),
-                gbsl: gbsl.len(),
-                gdsl: gdsl.len(),
-            });
-        }
-    }
-
-    let report = crate::diagnose::finish_report(cell, gsl, gbsl, gdsl, dynamic_only);
+    })?;
     Ok((report, trace))
 }
 

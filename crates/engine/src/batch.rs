@@ -41,11 +41,49 @@ impl BatchConfig {
     }
 }
 
-fn mix_seed(seed: u64, name: &str) -> u64 {
-    let mut h = DefaultHasher::new();
-    seed.hash(&mut h);
-    name.hash(&mut h);
-    h.finish()
+/// The observable defect pool of `ctx`'s design, shared by
+/// [`synthesize_batch`] and the volume crate's planted-population
+/// synthesizer: `samples_per_cell` defects sampled per cell type (seeded
+/// by `seed` and the cell name), each with an observable behaviour,
+/// spread over that type's instances in the library's cell order.
+/// Delay-class defects are left out: their excitation depends on pattern
+/// pairing and would make the pool's yield vary wildly with the test set.
+///
+/// # Errors
+///
+/// Returns an error when defect sampling fails structurally.
+pub fn defect_pool(
+    ctx: &ExperimentContext,
+    samples_per_cell: usize,
+    seed: u64,
+) -> Result<Vec<FaultyGate>, FlowError> {
+    let mix = MixConfig {
+        stuck: 0.6,
+        bridge: 0.4,
+        delay: 0.0,
+        ..MixConfig::default()
+    };
+    let mut pool: Vec<FaultyGate> = Vec::new();
+    for cell in ctx.cells.iter() {
+        let instances = ctx.instances_of(cell.name());
+        if instances.is_empty() {
+            continue;
+        }
+        let mut h = DefaultHasher::new();
+        seed.hash(&mut h);
+        cell.name().hash(&mut h);
+        let sample = sample_defects(cell.netlist(), samples_per_cell, &mix, h.finish())?;
+        for (k, injected) in sample.iter().enumerate() {
+            let Some(behavior) = injected.characterization.behavior.clone() else {
+                continue;
+            };
+            // Spread the samples over the instance population instead of
+            // piling every defect onto instance 0.
+            let gate = instances[k % instances.len()];
+            pool.push(FaultyGate::new(gate, behavior));
+        }
+    }
+    Ok(pool)
 }
 
 /// Synthesizes a batch of failing-device datalogs against `ctx`.
@@ -65,38 +103,7 @@ pub fn synthesize_batch(
     ctx: &ExperimentContext,
     config: &BatchConfig,
 ) -> Result<Vec<Datalog>, FlowError> {
-    // The fault pool: every observable stuck/bridge-class sampled defect
-    // on every instance of its cell type. Delay-class defects are left
-    // out: their excitation depends on pattern pairing and would make
-    // batch size vary wildly with the test set.
-    let mix = MixConfig {
-        stuck: 0.6,
-        bridge: 0.4,
-        delay: 0.0,
-        ..MixConfig::default()
-    };
-    let mut pool: Vec<FaultyGate> = Vec::new();
-    for cell in ctx.cells.iter() {
-        let instances = ctx.instances_of(cell.name());
-        if instances.is_empty() {
-            continue;
-        }
-        let sample = sample_defects(
-            cell.netlist(),
-            config.samples_per_cell,
-            &mix,
-            mix_seed(config.seed, cell.name()),
-        )?;
-        for (k, injected) in sample.iter().enumerate() {
-            let Some(behavior) = injected.characterization.behavior.clone() else {
-                continue;
-            };
-            // Spread the samples over the instance population instead of
-            // piling every defect onto instance 0.
-            let gate = instances[k % instances.len()];
-            pool.push(FaultyGate::new(gate, behavior));
-        }
-    }
+    let pool = defect_pool(ctx, config.samples_per_cell, config.seed)?;
     if pool.is_empty() {
         return Ok(Vec::new());
     }

@@ -1,21 +1,17 @@
-//! The batch-diagnosis job graph: one front-end job per datalog, one
-//! analysis job per (datalog × suspected gate), deterministic merging.
+//! The batch-diagnosis engine: one pool per batch, the shared job graph
+//! of [`crate::graph`] over every datalog, deterministic merging.
 
 use std::error::Error;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use icd_core::{AnalysisCache, CacheStats};
 use icd_faultsim::Datalog;
-use icd_intercell::IntercellDiagnosis;
-use icd_netlist::GateId;
 
-use crate::flow::{
-    analyze_suspect, select_suspects, ExperimentContext, FlowError, FlowReport, FlowStage,
-    GateAnalysis, SkippedGate,
-};
+use crate::cancel::CancelToken;
+use crate::flow::{ExperimentContext, FlowError, FlowReport};
+use crate::graph::{Admission, Graph};
 use crate::pool::WorkerPool;
 
 /// Engine sizing.
@@ -65,10 +61,16 @@ impl Default for EngineConfig {
 #[derive(Debug)]
 pub enum JobError {
     /// A whole-datalog stage failed structurally (e.g. inter-cell
-    /// diagnosis rejected the datalog).
+    /// diagnosis rejected the datalog, or its token was cancelled before
+    /// the front stage ran).
     Flow(FlowError),
     /// The front-end job panicked; the payload is the panic message.
     Panicked(String),
+    /// The pool's queue stayed full for the whole bounded wait of
+    /// [`DiagnosisService`](crate::DiagnosisService) (or the pool is
+    /// shutting down), so the front job was never admitted. Transient:
+    /// the caller may retry with backoff or degrade the response.
+    Busy,
 }
 
 impl fmt::Display for JobError {
@@ -76,6 +78,7 @@ impl fmt::Display for JobError {
         match self {
             JobError::Flow(e) => write!(f, "datalog stage failed: {e}"),
             JobError::Panicked(msg) => write!(f, "datalog job panicked: {msg}"),
+            JobError::Busy => write!(f, "diagnosis queue is full"),
         }
     }
 }
@@ -84,7 +87,7 @@ impl Error for JobError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             JobError::Flow(e) => Some(e),
-            JobError::Panicked(_) => None,
+            JobError::Panicked(_) | JobError::Busy => None,
         }
     }
 }
@@ -159,146 +162,16 @@ impl BatchReport {
     }
 }
 
-/// Immutable per-datalog artifacts shared by that datalog's suspect jobs.
-pub(crate) struct FrontShared {
-    pub(crate) datalog: Datalog,
-    pub(crate) inter: IntercellDiagnosis,
-}
-
-/// What the front-end stage of one datalog produced.
-pub(crate) enum FrontOutput {
-    /// The report is already complete (test escape, or failing patterns
-    /// without any analyzable suspect).
-    Done(Box<FlowReport>),
-    /// Suspects to fan out.
-    Work {
-        sanitize: icd_faultsim::SanitizeLog,
-        failing_patterns: usize,
-        unexplained: Vec<usize>,
-        shared: Arc<FrontShared>,
-        suspects: Vec<GateId>,
-    },
-}
-
-enum Message {
-    Front {
-        index: usize,
-        output: Result<FrontOutput, JobError>,
-        busy_us: u64,
-    },
-    Suspect {
-        index: usize,
-        slot: usize,
-        result: Box<Result<GateAnalysis, (FlowStage, FlowError)>>,
-        busy_us: u64,
-    },
-}
-
-/// In-flight merge state of one datalog.
-pub(crate) struct Pending {
-    pub(crate) sanitize: icd_faultsim::SanitizeLog,
-    pub(crate) failing_patterns: usize,
-    pub(crate) unexplained: Vec<usize>,
-    pub(crate) suspects: Vec<GateId>,
-    pub(crate) slots: Vec<Option<Result<GateAnalysis, (FlowStage, FlowError)>>>,
-    pub(crate) filled: usize,
-}
-
-impl Pending {
-    /// Merges the filled slots in suspect order — the exact order the
-    /// sequential staged flow records analyses and skips, so the merged
-    /// report is byte-identical to the single-threaded one.
-    pub(crate) fn merge(self) -> FlowReport {
-        let mut analyses = Vec::new();
-        let mut skipped = Vec::new();
-        for (gate, slot) in self.suspects.into_iter().zip(self.slots) {
-            match slot {
-                Some(Ok(analysis)) => analyses.push(analysis),
-                Some(Err((stage, error))) => skipped.push(SkippedGate { gate, stage, error }),
-                // Unreachable by construction (merge runs only when every
-                // slot is filled); degrade rather than panic.
-                None => skipped.push(SkippedGate {
-                    gate,
-                    stage: FlowStage::Worker,
-                    error: FlowError::Panicked("suspect job result missing".to_owned()),
-                }),
-            }
-        }
-        FlowReport {
-            failing_patterns: self.failing_patterns,
-            sanitize: self.sanitize,
-            analyses,
-            skipped,
-            unexplained: self.unexplained,
-        }
-    }
-}
-
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_owned()
-    }
-}
-
-/// The front half of the staged flow for one datalog: sanitation, escape
-/// check, inter-cell diagnosis, suspect selection. Runs on a worker.
-pub(crate) fn front_stage(
-    ctx: &ExperimentContext,
-    good: &icd_faultsim::BitValues,
-    datalog: &Datalog,
-) -> Result<FrontOutput, JobError> {
-    let (datalog, sanitize) = {
-        let _s = icd_obs::stage("flow.sanitize");
-        datalog.sanitize(ctx.circuit.outputs().len())
-    };
-    let escaped = {
-        let _s = icd_obs::stage("flow.escape_check");
-        datalog.all_pass()
-    };
-    if escaped {
-        return Ok(FrontOutput::Done(Box::new(FlowReport {
-            failing_patterns: 0,
-            sanitize,
-            analyses: Vec::new(),
-            skipped: Vec::new(),
-            unexplained: Vec::new(),
-        })));
-    }
-    let inter = {
-        let _s = icd_obs::stage("flow.intercell");
-        icd_intercell::diagnose_with_good(&ctx.circuit, &ctx.patterns, &datalog, good)
-            .map_err(|e| JobError::Flow(FlowError::Intercell(e)))?
-    };
-    let suspects = select_suspects(&inter);
-    if suspects.is_empty() {
-        return Ok(FrontOutput::Done(Box::new(FlowReport {
-            failing_patterns: datalog.entries.len(),
-            sanitize,
-            analyses: Vec::new(),
-            skipped: Vec::new(),
-            unexplained: inter.unexplained,
-        })));
-    }
-    Ok(FrontOutput::Work {
-        sanitize,
-        failing_patterns: datalog.entries.len(),
-        unexplained: inter.unexplained.clone(),
-        shared: Arc::new(FrontShared { datalog, inter }),
-        suspects,
-    })
-}
-
 /// The parallel batch-diagnosis engine.
 ///
-/// Wraps the staged flow of [`crate::flow`] in a job graph executed on a
-/// [`WorkerPool`]: per datalog a front-end job (sanitize → escape check →
-/// inter-cell diagnosis → suspect selection), then per suspected gate an
-/// independent analysis job sharing the `Arc`-held context, good-machine
-/// simulation and [`AnalysisCache`]. Results merge deterministically —
+/// Runs the staged flow of [`crate::flow`] as the job graph it shares
+/// with [`DiagnosisService`](crate::DiagnosisService), on a
+/// [`WorkerPool`] of its own per batch: per datalog a front-end job
+/// (sanitize → escape check → inter-cell diagnosis → suspect selection),
+/// then per suspected gate an independent analysis job sharing the
+/// `Arc`-held context, good-machine simulation and [`AnalysisCache`].
+/// Submission blocks while the queue is full. Results merge
+/// deterministically —
 /// the produced [`FlowReport`]s are identical (including their `Debug`
 /// rendering) for any worker count, because job outputs are placed by
 /// (datalog index, suspect slot), never by completion order.
@@ -350,155 +223,16 @@ impl BatchEngine {
             let _s = icd_obs::stage("batch.good_simulate");
             Arc::new(icd_faultsim::good_simulate(&ctx.circuit, &ctx.patterns)?)
         };
-        let cache = Arc::clone(cache);
         let pool = WorkerPool::new(self.config.workers, self.config.queue_capacity);
-        // Results flow back over one mpsc channel; the coordinator keeps
-        // the master sender so `recv` can never observe an early close
-        // while jobs are outstanding.
-        let (tx, rx) = mpsc::channel::<Message>();
-
-        for (index, datalog) in datalogs.iter().enumerate() {
-            let ctx = Arc::clone(ctx);
-            let good = Arc::clone(&good);
-            let job_tx = tx.clone();
-            let datalog = datalog.clone();
-            pool.submit(Box::new(move || {
-                let job_t0 = Instant::now();
-                let _span = icd_obs::span_with("batch.front", &[("datalog", index as u64)]);
-                let output =
-                    match catch_unwind(AssertUnwindSafe(|| front_stage(&ctx, &good, &datalog))) {
-                        Ok(r) => r,
-                        Err(p) => Err(JobError::Panicked(panic_message(p))),
-                    };
-                let _ = job_tx.send(Message::Front {
-                    index,
-                    output,
-                    busy_us: job_t0.elapsed().as_micros() as u64,
-                });
-            }));
-        }
-
-        let mut outcomes: Vec<Option<Result<FlowReport, JobError>>> =
-            (0..datalogs.len()).map(|_| None).collect();
-        let mut pending: Vec<Option<Pending>> = (0..datalogs.len()).map(|_| None).collect();
-        let mut remaining = datalogs.len();
-        let mut suspect_jobs = 0usize;
-        let mut device_busy_us: Vec<u64> = vec![0; datalogs.len()];
-
-        while remaining > 0 {
-            let Ok(msg) = rx.recv() else {
-                // Unreachable (the master sender lives in this scope);
-                // degrade instead of hanging if it ever happens.
-                break;
-            };
-            match msg {
-                Message::Front {
-                    index,
-                    output,
-                    busy_us,
-                } => {
-                    device_busy_us[index] += busy_us;
-                    match output {
-                        Ok(FrontOutput::Done(report)) => {
-                            outcomes[index] = Some(Ok(*report));
-                            remaining -= 1;
-                        }
-                        Ok(FrontOutput::Work {
-                            sanitize,
-                            failing_patterns,
-                            unexplained,
-                            shared,
-                            suspects,
-                        }) => {
-                            pending[index] = Some(Pending {
-                                sanitize,
-                                failing_patterns,
-                                unexplained,
-                                suspects: suspects.clone(),
-                                slots: (0..suspects.len()).map(|_| None).collect(),
-                                filled: 0,
-                            });
-                            // Largest fanout cones first: the most expensive
-                            // per-suspect resimulations start earliest, so no
-                            // big cone straggles at the tail of the pool.
-                            // Results merge by original slot, so the report is
-                            // independent of submission order (the sort is
-                            // stable, keeping the schedule deterministic too).
-                            let mut order: Vec<usize> = (0..suspects.len()).collect();
-                            order.sort_by_key(|&s| {
-                                std::cmp::Reverse(ctx.circuit.cone_size(suspects[s]))
-                            });
-                            for slot in order {
-                                let gate = suspects[slot];
-                                suspect_jobs += 1;
-                                let ctx = Arc::clone(ctx);
-                                let good = Arc::clone(&good);
-                                let cache = Arc::clone(&cache);
-                                let shared = Arc::clone(&shared);
-                                let job_tx = tx.clone();
-                                pool.submit(Box::new(move || {
-                                    let job_t0 = Instant::now();
-                                    let _span = icd_obs::span_with(
-                                        "batch.suspect",
-                                        &[("datalog", index as u64), ("slot", slot as u64)],
-                                    );
-                                    let result = catch_unwind(AssertUnwindSafe(|| {
-                                        analyze_suspect(
-                                            &ctx,
-                                            &shared.datalog,
-                                            &shared.inter,
-                                            &good,
-                                            gate,
-                                            Some(&cache),
-                                        )
-                                    }))
-                                    .unwrap_or_else(|p| {
-                                        Err((
-                                            FlowStage::Worker,
-                                            FlowError::Panicked(panic_message(p)),
-                                        ))
-                                    });
-                                    let _ = job_tx.send(Message::Suspect {
-                                        index,
-                                        slot,
-                                        result: Box::new(result),
-                                        busy_us: job_t0.elapsed().as_micros() as u64,
-                                    });
-                                }));
-                            }
-                        }
-                        Err(e) => {
-                            outcomes[index] = Some(Err(e));
-                            remaining -= 1;
-                        }
-                    }
-                }
-                Message::Suspect {
-                    index,
-                    slot,
-                    result,
-                    busy_us,
-                } => {
-                    device_busy_us[index] += busy_us;
-                    let done = if let Some(p) = pending[index].as_mut() {
-                        if p.slots[slot].is_none() {
-                            p.filled += 1;
-                        }
-                        p.slots[slot] = Some(*result);
-                        p.filled == p.slots.len()
-                    } else {
-                        false
-                    };
-                    if done {
-                        if let Some(p) = pending[index].take() {
-                            outcomes[index] = Some(Ok(p.merge()));
-                            remaining -= 1;
-                        }
-                    }
-                }
-            }
-        }
-        drop(tx);
+        let graph = Graph {
+            ctx: Arc::clone(ctx),
+            good,
+            cache: Arc::clone(cache),
+            admission: Admission::Block,
+            token: CancelToken::new(),
+            hook: None,
+        };
+        let (outcomes, suspect_jobs) = graph.run(&pool, datalogs, &mut |_, _| {});
 
         // Join the workers first so the pool counters are final, then
         // export this run's metrics into the installed collector.
@@ -533,19 +267,8 @@ impl BatchEngine {
             icd_obs::gauge_set("pool.workers", workers as u64, Timing);
         }
 
-        let merged = outcomes
-            .into_iter()
-            .enumerate()
-            .map(|(index, outcome)| BatchOutcome {
-                index,
-                report: outcome.unwrap_or_else(|| {
-                    Err(JobError::Panicked("datalog result missing".to_owned()))
-                }),
-                busy_us: device_busy_us[index],
-            })
-            .collect();
         Ok(BatchReport {
-            outcomes: merged,
+            outcomes,
             stats: BatchStats {
                 datalogs: datalogs.len(),
                 suspect_jobs,

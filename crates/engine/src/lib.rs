@@ -14,7 +14,8 @@
 //!
 //! * **job graph** — per datalog a *front* job (sanitize → test-escape
 //!   check → inter-cell diagnosis → suspect selection), then per
-//!   (datalog × suspected gate) an independent *analysis* job;
+//!   (datalog × suspected gate) an independent *analysis* job, run by one
+//!   coordinator that both entry points share;
 //! * **shared immutable artifacts** — the [`ExperimentContext`] (circuit,
 //!   transistor-level cell library, pattern set) and the batch-wide
 //!   good-machine simulation are computed once and `Arc`-shared by every
@@ -31,12 +32,13 @@
 //!   suspect slot), so the merged [`BatchReport`] is byte-identical for
 //!   any worker count and any scheduling order;
 //! * **a long-lived streaming form** — [`DiagnosisService`] keeps one
-//!   pool, good simulation and cache alive across many requests, streams
-//!   per-suspect completions incrementally (the execution core of the
-//!   `icd-server` daemon) and honours a cooperative [`CancelToken`]
-//!   (explicit or deadline-armed) checked at job boundaries, so
-//!   cancelled work surfaces as [`FlowError::Cancelled`] results and
-//!   never poisons the pool;
+//!   pool, good simulation and cache alive across many requests and runs
+//!   each as the one-datalog case of the same job graph, with a bounded
+//!   admission wait ([`JobError::Busy`]), a cooperative [`CancelToken`]
+//!   checked at job boundaries (cancelled work surfaces as
+//!   [`FlowError::Cancelled`] and never poisons the pool), a
+//!   fault-injection hook and streamed [`StreamEvent`]s — the execution
+//!   core of the `icd-server` daemon;
 //! * **observability** — with an [`icd_obs`] [`Collector`] installed
 //!   around [`BatchEngine::diagnose_batch`], every job runs under a span
 //!   keyed by its merge identity, and the run records per-stage latency
@@ -74,14 +76,15 @@ mod batch;
 mod cancel;
 mod engine;
 pub mod flow;
+mod graph;
 mod pool;
 mod service;
 
-pub use batch::{synthesize_batch, BatchConfig};
+pub use batch::{defect_pool, synthesize_batch, BatchConfig};
 pub use cancel::CancelToken;
 pub use engine::{BatchEngine, BatchOutcome, BatchReport, BatchStats, EngineConfig, JobError};
 pub use pool::{Job, PoolMetrics, WorkerPool};
-pub use service::{summarize_report, DiagnosisService, ServiceError, StreamEvent};
+pub use service::{summarize_report, DiagnosisService, StreamEvent};
 
 // Convenience re-exports: everything a caller needs to build a batch.
 pub use flow::{ExperimentContext, FlowError, FlowReport, FlowStage, SkippedGate};

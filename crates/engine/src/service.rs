@@ -4,34 +4,33 @@
 //! runs one directory's worth of datalogs, joins the pool. A daemon has
 //! the opposite lifecycle — the pool, the good-machine simulation and the
 //! analysis cache live for the whole process while requests come and go.
-//! [`DiagnosisService`] is that long-lived form:
+//! [`DiagnosisService`] is that long-lived form. Each request runs the
+//! job graph the batch engine runs, as its one-datalog case, with four
+//! values of its own:
 //!
-//! * **shared artifacts once** — the [`ExperimentContext`], the
-//!   good-machine simulation and the [`AnalysisCache`] are computed at
-//!   construction and `Arc`-shared by every request;
-//! * **streaming** — [`DiagnosisService::diagnose_streamed`] emits a
-//!   [`StreamEvent`] when the front stage resolves the suspect list and
-//!   one per completed per-suspect analysis, so a network server can
-//!   push first results before the full report is merged;
+//! * **bounded admission** — a job waits at most `submit_wait` for queue
+//!   space. A refused front job is [`JobError::Busy`]; a refused suspect
+//!   job becomes a `Cancelled` skip. Connection threads never block
+//!   behind an unbounded queue, and the caller owns the retry policy;
 //! * **cooperative cancellation** — the request's [`CancelToken`]
 //!   (deadline or explicit) is checked at every job boundary; cancelled
 //!   work surfaces as [`FlowError::Cancelled`] and never poisons the
 //!   pool;
-//! * **bounded admission** — job submission uses
-//!   [`WorkerPool::try_submit`] with a bounded wait, surfacing
-//!   [`ServiceError::Busy`] to the caller instead of blocking a
-//!   connection thread behind an unbounded queue. The caller owns the
-//!   retry policy.
+//! * **streaming** — [`DiagnosisService::diagnose_streamed`] emits a
+//!   [`StreamEvent`] when the front stage resolves the suspect list and
+//!   one per completed per-suspect analysis, so a network server can
+//!   push first results before the full report is merged;
+//! * **a job hook** — the chaos harness's fault-injection seam
+//!   ([`DiagnosisService::with_job_hook`]).
 //!
-//! The merged [`FlowReport`] is byte-identical (including `Debug`
-//! rendering) to what the sequential staged flow and the batch engine
-//! produce for the same datalog — same front stage, same per-suspect
-//! pipeline, same slot-ordered merge.
+//! A request's jobs also enter the trace the calling thread has entered,
+//! so their spans land in the request's trace. The merged [`FlowReport`]
+//! is byte-identical (including `Debug` rendering) to what the
+//! sequential staged flow and the batch engine produce for the same
+//! datalog.
 
-use std::error::Error;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::Duration;
 
 use icd_core::AnalysisCache;
@@ -39,41 +38,10 @@ use icd_faultsim::Datalog;
 use icd_netlist::GateId;
 
 use crate::cancel::CancelToken;
-use crate::engine::{front_stage, panic_message, FrontOutput, JobError, Pending};
-use crate::flow::{
-    analyze_suspect, ExperimentContext, FlowError, FlowReport, FlowStage, GateAnalysis,
-};
+use crate::engine::JobError;
+use crate::flow::{ExperimentContext, FlowError, FlowReport};
+use crate::graph::{Admission, Graph, JobHook};
 use crate::pool::WorkerPool;
-
-/// Why a streamed request produced no report.
-#[derive(Debug)]
-pub enum ServiceError {
-    /// The worker pool's queue stayed full for the whole bounded wait
-    /// (or the pool is shutting down). Transient: the caller may retry
-    /// with backoff or degrade the response.
-    Busy,
-    /// The request ran and failed as a whole (front-stage flow error or
-    /// contained panic).
-    Job(JobError),
-}
-
-impl fmt::Display for ServiceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ServiceError::Busy => write!(f, "diagnosis queue is full"),
-            ServiceError::Job(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl Error for ServiceError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            ServiceError::Busy => None,
-            ServiceError::Job(e) => Some(e),
-        }
-    }
-}
 
 /// Incremental progress of one streamed request.
 #[derive(Debug)]
@@ -94,27 +62,18 @@ pub enum StreamEvent<'a> {
     },
 }
 
-/// One message of a streamed request's internal result channel.
-enum StreamMessage {
-    Front(Box<Result<FrontOutput, JobError>>),
-    Suspect {
-        slot: usize,
-        result: Box<Result<GateAnalysis, (FlowStage, FlowError)>>,
-    },
-}
-
 /// The long-lived diagnosis executor of the server: one pool, one good
 /// simulation, one cache, many concurrent streamed requests.
 pub struct DiagnosisService {
     ctx: Arc<ExperimentContext>,
     good: Arc<icd_faultsim::BitValues>,
     cache: Arc<AnalysisCache>,
-    pool: Arc<WorkerPool>,
+    pool: WorkerPool,
     submit_wait: Duration,
     /// Fault-injection seam: runs at the start of every front/suspect
     /// job, *inside* the panic net. A hook that panics emulates a
     /// worker dying mid-job — the chaos harness's handle on the pool.
-    job_hook: Option<Arc<dyn Fn() + Send + Sync>>,
+    job_hook: Option<JobHook>,
 }
 
 impl fmt::Debug for DiagnosisService {
@@ -142,12 +101,11 @@ impl DiagnosisService {
         submit_wait: Duration,
     ) -> Result<Self, FlowError> {
         let good = Arc::new(icd_faultsim::good_simulate(&ctx.circuit, &ctx.patterns)?);
-        let pool = Arc::new(WorkerPool::new(workers, queue_capacity));
         Ok(DiagnosisService {
             ctx,
             good,
             cache: Arc::new(AnalysisCache::new()),
-            pool,
+            pool: WorkerPool::new(workers, queue_capacity),
             submit_wait,
             job_hook: None,
         })
@@ -169,11 +127,6 @@ impl DiagnosisService {
         &self.ctx
     }
 
-    /// The underlying pool (for drain/health introspection).
-    pub fn pool(&self) -> &Arc<WorkerPool> {
-        &self.pool
-    }
-
     /// Jobs queued or running right now.
     pub fn pending_jobs(&self) -> usize {
         self.pool.pending_jobs()
@@ -189,194 +142,43 @@ impl DiagnosisService {
     ///
     /// Runs on the calling thread as the request's coordinator: the
     /// front job and every per-suspect job execute on the pool, results
-    /// stream back over an internal channel, and the merged report is
-    /// identical to the batch engine's for the same datalog. The token
-    /// is checked at every job boundary; a request cancelled mid-fanout
-    /// gets its already-finished analyses plus `Cancelled` skips for the
-    /// rest — a *degraded partial* report, not an error.
+    /// stream back as they finish, and the merged report is identical to
+    /// the batch engine's for the same datalog. The token is checked at
+    /// every job boundary; a request cancelled mid-fanout gets its
+    /// already-finished analyses plus `Cancelled` skips for the rest — a
+    /// *degraded partial* report, not an error. When the calling thread
+    /// has entered an [`icd_obs::TraceContext`], every job enters it on
+    /// its worker, so the request's `batch.front` / `batch.suspect`
+    /// spans and the `flow.*` stage spans inside them land in that
+    /// trace.
     ///
     /// # Errors
     ///
-    /// [`ServiceError::Busy`] when the front job cannot be admitted
-    /// within the bounded wait (transient — retry or degrade);
-    /// [`ServiceError::Job`] when the request fails as a whole
-    /// (front-stage flow error, contained panic, or cancellation before
-    /// the front stage ran).
+    /// [`JobError::Busy`] when the front job cannot be admitted within
+    /// the bounded wait (transient — retry or degrade); otherwise the
+    /// request failed as a whole: a front-stage flow error, a contained
+    /// panic, or cancellation before the front stage ran
+    /// ([`FlowError::Cancelled`]).
     pub fn diagnose_streamed(
         &self,
         datalog: &Datalog,
         token: &CancelToken,
         on_event: &mut dyn FnMut(StreamEvent<'_>),
-    ) -> Result<FlowReport, ServiceError> {
-        self.diagnose_streamed_traced(datalog, token, None, on_event)
-    }
-
-    /// [`diagnose_streamed`](Self::diagnose_streamed) with an optional
-    /// per-request trace: every front/suspect job *enters* the trace on
-    /// its worker thread, so the request's `service.front` /
-    /// `service.suspect` spans — and the `flow.*` stage spans nested
-    /// inside them — land in the trace's span forest even though they
-    /// execute on pool threads the caller never sees.
-    pub fn diagnose_streamed_traced(
-        &self,
-        datalog: &Datalog,
-        token: &CancelToken,
-        trace: Option<&icd_obs::TraceContext>,
-        on_event: &mut dyn FnMut(StreamEvent<'_>),
-    ) -> Result<FlowReport, ServiceError> {
-        if token.is_cancelled() {
-            return Err(ServiceError::Job(JobError::Flow(FlowError::Cancelled)));
-        }
-        let (tx, rx) = mpsc::channel::<StreamMessage>();
-
-        // Front job.
-        {
-            let ctx = Arc::clone(&self.ctx);
-            let good = Arc::clone(&self.good);
-            let datalog = datalog.clone();
-            let token = token.clone();
-            let job_tx = tx.clone();
-            let hook = self.job_hook.clone();
-            let trace = trace.cloned();
-            let job = Box::new(move || {
-                let _trace = trace.as_ref().map(icd_obs::TraceContext::enter);
-                let _span = icd_obs::stage("service.front");
-                let output = if token.is_cancelled() {
-                    Err(JobError::Flow(FlowError::Cancelled))
-                } else {
-                    match catch_unwind(AssertUnwindSafe(|| {
-                        if let Some(hook) = &hook {
-                            hook();
-                        }
-                        front_stage(&ctx, &good, &datalog)
-                    })) {
-                        Ok(r) => r,
-                        Err(p) => Err(JobError::Panicked(panic_message(p))),
-                    }
-                };
-                let _ = job_tx.send(StreamMessage::Front(Box::new(output)));
-            });
-            if self.pool.try_submit(job, self.submit_wait).is_err() {
-                return Err(ServiceError::Busy);
-            }
-        }
-
-        let front = loop {
-            match rx.recv() {
-                Ok(StreamMessage::Front(output)) => break *output,
-                Ok(StreamMessage::Suspect { .. }) => continue, // unreachable: none submitted yet
-                Err(_) => {
-                    // Unreachable (we hold the master sender); degrade.
-                    return Err(ServiceError::Job(JobError::Panicked(
-                        "front job result missing".to_owned(),
-                    )));
-                }
-            }
+    ) -> Result<FlowReport, JobError> {
+        let graph = Graph {
+            ctx: Arc::clone(&self.ctx),
+            good: Arc::clone(&self.good),
+            cache: Arc::clone(&self.cache),
+            admission: Admission::Wait(self.submit_wait),
+            token: token.clone(),
+            hook: self.job_hook.clone(),
         };
-        let (sanitize, failing_patterns, unexplained, shared, suspects) = match front {
-            Ok(FrontOutput::Done(report)) => return Ok(*report),
-            Ok(FrontOutput::Work {
-                sanitize,
-                failing_patterns,
-                unexplained,
-                shared,
-                suspects,
-            }) => (sanitize, failing_patterns, unexplained, shared, suspects),
-            Err(e) => return Err(ServiceError::Job(e)),
-        };
-        on_event(StreamEvent::Suspects(&suspects));
-
-        let mut pending = Pending {
-            sanitize,
-            failing_patterns,
-            unexplained,
-            suspects: suspects.clone(),
-            slots: (0..suspects.len()).map(|_| None).collect(),
-            filled: 0,
-        };
-
-        // Fan the suspect jobs out, largest cones first (same schedule as
-        // the batch engine). Admission is bounded: when the pool refuses
-        // a job within the wait — saturation or shutdown — or the token
-        // cancels, the remaining slots become Cancelled skips and the
-        // report degrades instead of blocking the connection thread.
-        let mut order: Vec<usize> = (0..suspects.len()).collect();
-        order.sort_by_key(|&s| std::cmp::Reverse(self.ctx.circuit.cone_size(suspects[s])));
-        for slot in order {
-            let gate = suspects[slot];
-            if token.is_cancelled() {
-                pending.slots[slot] = Some(Err((FlowStage::Worker, FlowError::Cancelled)));
-                pending.filled += 1;
-                continue;
-            }
-            let ctx = Arc::clone(&self.ctx);
-            let good = Arc::clone(&self.good);
-            let cache = Arc::clone(&self.cache);
-            let shared = Arc::clone(&shared);
-            let token_job = token.clone();
-            let job_tx = tx.clone();
-            let hook = self.job_hook.clone();
-            let trace_job = trace.cloned();
-            let job = Box::new(move || {
-                let _trace = trace_job.as_ref().map(icd_obs::TraceContext::enter);
-                let _span = icd_obs::stage("service.suspect");
-                let result = if token_job.is_cancelled() {
-                    Err((FlowStage::Worker, FlowError::Cancelled))
-                } else {
-                    catch_unwind(AssertUnwindSafe(|| {
-                        if let Some(hook) = &hook {
-                            hook();
-                        }
-                        analyze_suspect(
-                            &ctx,
-                            &shared.datalog,
-                            &shared.inter,
-                            &good,
-                            gate,
-                            Some(&cache),
-                        )
-                    }))
-                    .unwrap_or_else(|p| {
-                        Err((FlowStage::Worker, FlowError::Panicked(panic_message(p))))
-                    })
-                };
-                let _ = job_tx.send(StreamMessage::Suspect {
-                    slot,
-                    result: Box::new(result),
-                });
-            });
-            if self.pool.try_submit(job, self.submit_wait).is_err() {
-                pending.slots[slot] = Some(Err((FlowStage::Worker, FlowError::Cancelled)));
-                pending.filled += 1;
-            }
+        let datalogs = std::slice::from_ref(datalog);
+        let (mut outcomes, _) = graph.run(&self.pool, datalogs, &mut |_, event| on_event(event));
+        match outcomes.pop() {
+            Some(outcome) => outcome.report,
+            None => Err(JobError::Panicked("datalog result missing".to_owned())),
         }
-        drop(tx);
-
-        while pending.filled < pending.slots.len() {
-            let Ok(msg) = rx.recv() else {
-                // Every sender dropped with slots unfilled — a submitted
-                // job was lost (pool shut down mid-request). Degrade the
-                // missing slots to Cancelled instead of hanging.
-                for slot in pending.slots.iter_mut().filter(|s| s.is_none()) {
-                    *slot = Some(Err((FlowStage::Worker, FlowError::Cancelled)));
-                    pending.filled += 1;
-                }
-                break;
-            };
-            let StreamMessage::Suspect { slot, result } = msg else {
-                continue;
-            };
-            if pending.slots[slot].is_none() {
-                pending.filled += 1;
-                on_event(StreamEvent::SuspectDone {
-                    slot,
-                    gate: pending.suspects[slot],
-                    ok: result.is_ok(),
-                });
-                pending.slots[slot] = Some(*result);
-            }
-        }
-        Ok(pending.merge())
     }
 }
 
@@ -468,10 +270,7 @@ mod tests {
         let err = service
             .diagnose_streamed(&batch[0], &token, &mut |_| {})
             .expect_err("cancelled request must not run");
-        assert!(matches!(
-            err,
-            ServiceError::Job(JobError::Flow(FlowError::Cancelled))
-        ));
+        assert!(matches!(err, JobError::Flow(FlowError::Cancelled)));
     }
 
     #[test]

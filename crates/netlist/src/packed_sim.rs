@@ -5,8 +5,8 @@
 //! parallelism of the host. This module threads the
 //! [`icd_logic::packed`] kernel through the netlist layer: 64 patterns
 //! travel together as one [`PackedWord`] per net, and each gate is a
-//! single [`PackedEval`] application per word instead of 64 table
-//! lookups.
+//! single [`PackedEval`](icd_logic::packed::PackedEval) application
+//! per word instead of 64 table lookups.
 //!
 //! The scalar path ([`GateType::eval`](crate::GateType::eval) applied in
 //! topological order) remains the authoritative oracle; the differential

@@ -24,6 +24,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::marker::PhantomData;
+use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::Instant;
@@ -38,13 +39,13 @@ static ACTIVE: RwLock<Option<Arc<Inner>>> = RwLock::new(None);
 /// Small dense per-thread ids (worker threads of one process), assigned
 /// on first use.
 static NEXT_THREAD: AtomicU64 = AtomicU64::new(0);
-/// Process-global span id / start-order counters, shared by the
-/// collector and per-request traces so one open span can record into
-/// both with consistent parent linkage. Only *relative* order matters
-/// downstream, so a global counter preserves every canonicalization
-/// guarantee.
+/// Process-global span id counter, shared by the collector and
+/// per-request traces so one open span can record into both with
+/// consistent parent linkage. Ids are handed out in start order, so they
+/// also order siblings (which run sequentially on one thread); only
+/// *relative* order matters downstream, so a global counter preserves
+/// every canonicalization guarantee.
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
-static NEXT_SEQ: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static THREAD_ID: Cell<Option<u64>> = const { Cell::new(None) };
@@ -76,17 +77,41 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     }
 }
 
+/// Most attributes a span keeps: a batch job's identity (datalog, slot).
+const MAX_ATTRS: usize = 2;
+
+/// A span's attributes, held inline, so opening and recording a span
+/// allocates nothing. With a heap `Vec` here, the daemon's request
+/// throughput on a small design fell by about a tenth once every job span
+/// carried attributes. An empty key marks an unused slot.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Attrs([(&'static str, u64); MAX_ATTRS]);
+
+impl Attrs {
+    /// The first [`MAX_ATTRS`] of `attrs` that have a key.
+    fn new(attrs: &[(&'static str, u64)]) -> Self {
+        let mut items = [("", 0); MAX_ATTRS];
+        let keyed = attrs.iter().filter(|(key, _)| !key.is_empty());
+        for (item, attr) in items.iter_mut().zip(keyed) {
+            *item = *attr;
+        }
+        Attrs(items)
+    }
+
+    pub(crate) fn as_slice(&self) -> &[(&'static str, u64)] {
+        let len = self.0.iter().take_while(|(key, _)| !key.is_empty()).count();
+        &self.0[..len]
+    }
+}
+
 /// One finished span as recorded, before canonicalization.
 #[derive(Debug, Clone)]
 pub(crate) struct RawSpan {
     pub(crate) id: u64,
-    pub(crate) parent: Option<u64>,
+    pub(crate) parent: Option<NonZeroU64>,
     pub(crate) name: &'static str,
-    pub(crate) attrs: Vec<(&'static str, u64)>,
+    pub(crate) attrs: Attrs,
     pub(crate) thread: u64,
-    /// Global start-order sequence number; orders siblings (which run
-    /// sequentially on one thread) deterministically.
-    pub(crate) seq: u64,
     pub(crate) start_us: u64,
     pub(crate) duration_us: u64,
 }
@@ -195,10 +220,9 @@ struct OpenSpan {
     inner: Option<Arc<Inner>>,
     trace: Option<Arc<crate::trace::TraceInner>>,
     id: u64,
-    parent: Option<u64>,
+    parent: Option<NonZeroU64>,
     name: &'static str,
-    attrs: Vec<(&'static str, u64)>,
-    seq: u64,
+    attrs: Attrs,
     start: Instant,
     /// Start offset relative to the *collector's* epoch (the trace sink
     /// recomputes its own offset from `start`).
@@ -221,10 +245,9 @@ fn open_span(
         return SpanGuard(None);
     }
     let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
-    let seq = NEXT_SEQ.fetch_add(1, Ordering::Relaxed);
     let parent = SPAN_STACK.with(|s| {
         let mut s = s.borrow_mut();
-        let parent = s.last().copied();
+        let parent = s.last().copied().and_then(NonZeroU64::new);
         s.push(id);
         parent
     });
@@ -239,8 +262,7 @@ fn open_span(
         id,
         parent,
         name,
-        attrs: attrs.to_vec(),
-        seq,
+        attrs: Attrs::new(attrs),
         start,
         record_histogram,
     }))
@@ -269,7 +291,6 @@ impl Drop for SpanGuard {
             name: open.name,
             attrs: open.attrs,
             thread: thread_id(),
-            seq: open.seq,
             start_us: open.start_us,
             duration_us,
         };
@@ -296,9 +317,8 @@ pub(crate) fn external_raw_span(name: &'static str, duration_us: u64) -> RawSpan
         id: NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed),
         parent: None,
         name,
-        attrs: Vec::new(),
+        attrs: Attrs::new(&[]),
         thread: thread_id(),
-        seq: NEXT_SEQ.fetch_add(1, Ordering::Relaxed),
         start_us: 0,
         duration_us,
     }
@@ -311,7 +331,8 @@ pub fn span(name: &'static str) -> SpanGuard {
 }
 
 /// [`span`] with structured attributes (e.g. the datalog index and
-/// suspect slot of a batch job).
+/// suspect slot of a batch job). A span keeps the first two that have a
+/// non-empty key; any further attribute is dropped.
 pub fn span_with(name: &'static str, attrs: &[(&'static str, u64)]) -> SpanGuard {
     open_span(name, attrs, false)
 }
@@ -325,8 +346,9 @@ pub fn stage(name: &'static str) -> SpanGuard {
 
 /// A handle to one run's recorded observability data. Create one, pass
 /// it to an instrumented driver (or [`install`](Collector::install) it
-/// around arbitrary code), then export with [`snapshot`](Collector::
-/// snapshot) / [`span_forest`](Collector::span_forest) /
+/// around arbitrary code), then export with
+/// [`snapshot`](Collector::snapshot) /
+/// [`span_forest`](Collector::span_forest) /
 /// [`trace_json`](Collector::trace_json).
 #[derive(Debug, Clone)]
 pub struct Collector {

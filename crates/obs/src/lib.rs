@@ -155,6 +155,19 @@ mod tests {
     }
 
     #[test]
+    fn a_span_keeps_its_first_two_keyed_attributes() {
+        let _serial = serial();
+        let collector = Collector::new();
+        {
+            let _active = collector.install();
+            let attrs = [("", 7), ("datalog", 4), ("slot", 1), ("extra", 9)];
+            drop(span_with("t.job", &attrs));
+        }
+        let forest = collector.span_forest();
+        assert_eq!(forest[0].attrs, vec![("datalog", 4), ("slot", 1)]);
+    }
+
+    #[test]
     fn metrics_only_collector_keeps_histograms_but_no_spans() {
         let _serial = serial();
         let collector = Collector::metrics_only();

@@ -139,9 +139,9 @@ impl HistogramSnapshot {
     /// sample's position inside that bucket, so it always falls inside
     /// the value range the bucket can actually hold (error strictly less
     /// than one bucket width). The overflow bucket has no upper bound
-    /// and clamps to its lower bound; a recorded [`max_us`](Self::
-    /// max_us) additionally caps every estimate. Estimates are monotone
-    /// in `q` by construction.
+    /// and clamps to its lower bound; a recorded
+    /// [`max_us`](Self::max_us) additionally caps every estimate.
+    /// Estimates are monotone in `q` by construction.
     pub fn percentile_us(&self, q: f64) -> Option<u64> {
         if self.count == 0 {
             return None;

@@ -52,10 +52,10 @@ impl SpanNode {
 
 fn build_node(raw: &RawSpan, children_of: &BTreeMap<u64, Vec<&RawSpan>>) -> SpanNode {
     let mut children: Vec<&RawSpan> = children_of.get(&raw.id).cloned().unwrap_or_default();
-    children.sort_by_key(|c| c.seq);
+    children.sort_by_key(|c| c.id);
     SpanNode {
         name: raw.name,
-        attrs: raw.attrs.clone(),
+        attrs: raw.attrs.as_slice().to_vec(),
         thread: raw.thread,
         start_us: raw.start_us,
         duration_us: raw.duration_us,
@@ -74,7 +74,7 @@ pub(crate) fn build_forest(raws: &[RawSpan]) -> Vec<SpanNode> {
         match raw.parent {
             // A parent that never finished (open guard at export time)
             // is treated as absent: the child is promoted to a root.
-            Some(p) if ids.contains(&p) => children_of.entry(p).or_default().push(raw),
+            Some(p) if ids.contains(&p.get()) => children_of.entry(p.get()).or_default().push(raw),
             _ => roots.push(raw),
         }
     }
@@ -84,7 +84,7 @@ pub(crate) fn build_forest(raws: &[RawSpan]) -> Vec<SpanNode> {
         .into_iter()
         .map(|r| {
             let node = build_node(r, &children_of);
-            (root_key(&node, r.seq), node)
+            (root_key(&node, r.id), node)
         })
         .collect();
     keyed.sort_by_key(|&(key, _)| key);
@@ -93,11 +93,11 @@ pub(crate) fn build_forest(raws: &[RawSpan]) -> Vec<SpanNode> {
 
 type RootKey = (u8, u64, &'static str, u64, u64);
 
-fn root_key(node: &SpanNode, seq: u64) -> RootKey {
+fn root_key(node: &SpanNode, id: u64) -> RootKey {
     match node.attr("datalog") {
         // Setup roots run sequentially on the coordinator: their mutual
-        // seq order is deterministic even though absolute values are not.
-        None => (0, 0, node.name, 0, seq),
+        // id order is deterministic even though absolute values are not.
+        None => (0, 0, node.name, 0, id),
         Some(datalog) => (1, datalog, node.name, node.attr("slot").unwrap_or(0), 0),
     }
 }

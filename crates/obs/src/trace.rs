@@ -112,6 +112,14 @@ impl TraceContext {
         }
     }
 
+    /// The trace the calling thread has entered, if any — the innermost
+    /// one while [`enter`](TraceContext::enter)s nest. A coordinator
+    /// reads it to hand the caller's trace to the jobs it runs on other
+    /// threads.
+    pub fn current() -> Option<TraceContext> {
+        current().map(|inner| TraceContext { inner })
+    }
+
     /// The 64-bit wire trace id.
     pub fn trace_id(&self) -> u64 {
         self.inner.trace_id
@@ -256,6 +264,29 @@ mod tests {
         assert_eq!(forest[0].name, "t.decode");
         assert_eq!(forest[0].start_us, 0);
         assert_eq!(forest[0].duration_us, 123);
+    }
+
+    #[test]
+    fn current_is_the_innermost_entered_trace() {
+        assert!(TraceContext::current().is_none(), "nothing entered yet");
+        let outer = TraceContext::new(1);
+        let inner = TraceContext::new(2);
+        {
+            let _a = outer.enter();
+            assert_eq!(TraceContext::current().map(|t| t.trace_id()), Some(1));
+            {
+                let _b = inner.enter();
+                assert_eq!(TraceContext::current().map(|t| t.trace_id()), Some(2));
+                // The handle shares the entered trace: events land in it.
+                if let Some(current) = TraceContext::current() {
+                    current.event("via-current", "x");
+                }
+            }
+            assert_eq!(TraceContext::current().map(|t| t.trace_id()), Some(1));
+        }
+        assert!(TraceContext::current().is_none(), "every guard dropped");
+        assert_eq!(inner.events().len(), 1);
+        assert!(outer.events().is_empty());
     }
 
     #[test]

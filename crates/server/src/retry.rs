@@ -1,7 +1,7 @@
 //! Capped exponential backoff with seeded jitter for transient failures.
 //!
 //! The daemon retries exactly two failure classes, both genuinely
-//! transient: *queue-full* admission refusals ([`ServiceError::Busy`])
+//! transient: *queue-full* admission refusals ([`JobError::Busy`])
 //! and *contained worker panics* (the chaos harness injects these on
 //! purpose; a real one is a bug that a retry on different data layout
 //! often dodges). Everything else — malformed datalogs, front-stage flow
@@ -11,7 +11,7 @@
 //! layer uses ([`icd_faultsim::NoiseRng`]), so a seeded soak run makes
 //! reproducible backoff decisions.
 //!
-//! [`ServiceError::Busy`]: icd_engine::ServiceError::Busy
+//! [`JobError::Busy`]: icd_engine::JobError::Busy
 
 use std::time::Duration;
 

@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 
 use icd_engine::{
     summarize_report, CancelToken, DiagnosisService, ExperimentContext, FlowError, FlowReport,
-    JobError, ServiceError, StreamEvent,
+    JobError, StreamEvent,
 };
 use icd_faultsim::NoiseRng;
 use icd_obs::{EventLog, TraceContext};
@@ -770,7 +770,13 @@ impl Connection {
         let mut reports: Vec<(String, FlowReport)> = Vec::new();
         let mut failed = 0usize;
         let mut fatal = None;
-        for (name, datalog) in &parsed {
+        for (i, (name, datalog)) in parsed.iter().enumerate() {
+            // A device that streams nothing never writes to the socket,
+            // so a hang-up is looked for before every further device.
+            if i > 0 && hung_up(stream) {
+                fatal = Some(Failure::ClientGone);
+                break;
+            }
             let device_t0 = Instant::now();
             let result = self.diagnose_with_retry(stream, id, trace, datalog, &token);
             trace.event(
@@ -824,7 +830,7 @@ impl Connection {
     /// The transient-failure retry loop around one streamed diagnosis.
     ///
     /// Retried (with capped exponential backoff + jitter): queue-full
-    /// admission ([`ServiceError::Busy`]), whole-request worker panics,
+    /// admission ([`JobError::Busy`]), whole-request worker panics,
     /// and reports whose only blemish is panicked suspect slots (the
     /// report of the successful retry is byte-identical to a clean run).
     /// Not retried: flow errors, expired deadlines, cancellation —
@@ -872,9 +878,11 @@ impl Connection {
                     client_gone = true;
                 }
             };
-            let outcome =
-                self.service
-                    .diagnose_streamed_traced(datalog, token, Some(trace), &mut on_event);
+            // The request's trace is entered on this thread, so the
+            // service's jobs enter it on their workers too.
+            let outcome = self
+                .service
+                .diagnose_streamed(datalog, token, &mut on_event);
             if client_gone {
                 // Nobody is listening; cancel our own work and stop.
                 token.cancel();
@@ -891,14 +899,14 @@ impl Connection {
                     return Ok(report);
                 }
                 Ok(report) => Transient::PanickedSlots(report),
-                Err(ServiceError::Busy) => Transient::QueueFull,
-                Err(ServiceError::Job(JobError::Panicked(_))) => Transient::FrontPanic,
-                Err(ServiceError::Job(JobError::Flow(FlowError::Cancelled))) => {
+                Err(JobError::Busy) => Transient::QueueFull,
+                Err(JobError::Panicked(_)) => Transient::FrontPanic,
+                Err(JobError::Flow(FlowError::Cancelled)) => {
                     return Err(Failure::Deadline(
                         "deadline expired before the front stage ran",
                     ));
                 }
-                Err(ServiceError::Job(e)) => return Err(Failure::Internal(e.to_string())),
+                Err(e) => return Err(Failure::Internal(e.to_string())),
             };
             let Some(delay) = self.config.backoff.delay(attempt, &mut self.jitter) else {
                 // The budget is spent. Panicked slots ship as a degraded
@@ -932,6 +940,24 @@ impl Connection {
             attempt += 1;
         }
     }
+}
+
+/// Whether the client has hung up, looked at without blocking: a
+/// one-byte peek in non-blocking mode sees end of stream or a socket
+/// error. A pipelined byte, or nothing to read yet, means the client is
+/// still there. A socket that cannot leave blocking mode is not looked
+/// at; one that cannot return to it counts as gone, since the
+/// connection could not go on reading it.
+fn hung_up(stream: &TcpStream) -> bool {
+    if stream.set_nonblocking(true).is_err() {
+        return false;
+    }
+    let mut byte = [0u8; 1];
+    let gone = match stream.peek(&mut byte) {
+        Ok(n) => n == 0,
+        Err(e) => !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted),
+    };
+    stream.set_nonblocking(false).is_err() || gone
 }
 
 /// An `Error` answer carrying the request's trace id, with `event`
@@ -1006,12 +1032,14 @@ mod tests {
     use std::collections::BTreeMap;
     use std::io::Write;
     use std::net::Shutdown;
+    use std::path::{Path, PathBuf};
     use std::sync::{mpsc, Mutex, PoisonError};
     use std::time::{SystemTime, UNIX_EPOCH};
 
     use icd_engine::{synthesize_batch, BatchConfig};
-    use icd_faultsim::datalog_text;
+    use icd_faultsim::{datalog_text, Datalog};
     use icd_netlist::generator;
+    use icd_obs::json::Value;
 
     use super::*;
     use crate::client::{Client, ClientError, Response};
@@ -1252,18 +1280,82 @@ mod tests {
         daemon.finish();
     }
 
-    #[test]
-    fn a_volume_client_that_disconnects_mid_stream_stops_the_lot() {
+    /// A fresh event-log file in the temp dir, unique to this process and
+    /// `tag`.
+    fn temp_event_log(tag: &str) -> (PathBuf, Arc<EventLog>) {
         let nanos = SystemTime::now()
             .duration_since(UNIX_EPOCH)
             .map_or(0, |d| d.as_nanos());
-        let log_path = std::env::temp_dir().join(format!(
-            "icd-server-disconnect-{}-{nanos}.jsonl",
+        let path = std::env::temp_dir().join(format!(
+            "icd-server-{tag}-{}-{nanos}.jsonl",
             std::process::id()
         ));
-        let event_log = EventLog::open(&log_path, icd_obs::DEFAULT_MAX_BYTES).expect("log opens");
+        let log = EventLog::open(&path, icd_obs::DEFAULT_MAX_BYTES).expect("log opens");
+        (path, Arc::new(log))
+    }
+
+    fn text(e: &Value, key: &str) -> Option<String> {
+        e.get(key).and_then(|v| v.as_str()).map(str::to_owned)
+    }
+
+    /// The first record of `kind` in the event log at `path`, polled
+    /// until it has been written.
+    fn logged_record(path: &Path, kind: &str) -> Value {
+        let deadline = Instant::now() + IO_TIMEOUT;
+        loop {
+            let log = std::fs::read_to_string(path).unwrap_or_default();
+            // A record still being written does not parse yet.
+            let record = log
+                .lines()
+                .filter_map(|line| icd_obs::json::parse(line).ok())
+                .find(|r| text(r, "kind").as_deref() == Some(kind));
+            if let Some(record) = record {
+                return record;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "no {kind} record in the event log"
+            );
+            thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    /// Sends `lot` as one `Volume` frame on a raw socket.
+    fn send_volume(addr: SocketAddr, lot: &[(String, String)]) -> TcpStream {
+        let mut stream = TcpStream::connect(addr).expect("connects");
+        let volume = Frame {
+            frame_type: FrameType::Volume,
+            request_id: 1,
+            trace_id: None,
+            payload: frame::volume_request_payload(0, lot),
+        };
+        frame::write_frame(&mut stream, &volume).expect("sends the lot");
+        stream
+    }
+
+    /// The record's `volume.device` event count, after checking it failed
+    /// because the client went away.
+    fn assert_client_gone(record: &Value) -> usize {
+        let events = record
+            .get("events")
+            .and_then(|e| e.as_array())
+            .expect("events");
+        assert_eq!(text(record, "outcome").as_deref(), Some("failed"));
+        assert!(events.iter().any(|e| {
+            text(e, "kind").as_deref() == Some("error")
+                && text(e, "detail").as_deref() == Some("client connection lost mid-stream")
+        }));
+        events
+            .iter()
+            .filter(|e| text(e, "kind").as_deref() == Some("volume.device"))
+            .count()
+    }
+
+    #[test]
+    fn a_volume_client_that_disconnects_mid_stream_stops_the_lot() {
+        let (log_path, event_log) = temp_event_log("disconnect");
         let mut daemon = Gated::start(ServerConfig {
-            event_log: Some(Arc::new(event_log)),
+            event_log: Some(event_log),
             ..ServerConfig::default()
         });
         let lot: Vec<(String, String)> = (0..8)
@@ -1272,14 +1364,7 @@ mod tests {
                 (format!("device-{i:03}.log"), text)
             })
             .collect();
-        let mut stream = TcpStream::connect(daemon.addr).expect("connects");
-        let volume = Frame {
-            frame_type: FrameType::Volume,
-            request_id: 1,
-            trace_id: None,
-            payload: frame::volume_request_payload(0, &lot),
-        };
-        frame::write_frame(&mut stream, &volume).expect("sends the lot");
+        let stream = send_volume(daemon.addr, &lot);
         // The first device's front job is at the gate: hang up, then let
         // the daemon stream into the closed socket.
         daemon.wait_entered();
@@ -1291,45 +1376,98 @@ mod tests {
         client
             .submit(&daemon.texts[0], 0)
             .expect("a fresh request is served");
-        let text = |e: &icd_obs::json::Value, key: &str| {
-            e.get(key).and_then(|v| v.as_str()).map(str::to_owned)
-        };
-        let deadline = Instant::now() + IO_TIMEOUT;
-        let record = loop {
-            let log = std::fs::read_to_string(&log_path).unwrap_or_default();
-            // A record still being written does not parse yet.
-            let volume = log
-                .lines()
-                .filter_map(|line| icd_obs::json::parse(line).ok())
-                .find(|r| text(r, "kind").as_deref() == Some("volume"));
-            if let Some(record) = volume {
-                break record;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "no volume record in the event log"
-            );
-            thread::sleep(Duration::from_millis(5));
-        };
-        let events = record
-            .get("events")
-            .and_then(|e| e.as_array())
-            .expect("events");
-        let devices = events
-            .iter()
-            .filter(|e| text(e, "kind").as_deref() == Some("volume.device"))
-            .count();
+        let devices = assert_client_gone(&logged_record(&log_path, "volume"));
         assert!(devices < lot.len(), "the lot ran to the end: {devices}");
-        assert_eq!(text(&record, "outcome").as_deref(), Some("failed"));
-        assert!(events.iter().any(|e| {
-            text(e, "kind").as_deref() == Some("error")
-                && text(e, "detail").as_deref() == Some("client connection lost mid-stream")
-        }));
 
         let after = daemon.requests(2);
         assert_eq!((after["total"], after["failed"]), (2, 1), "{after:?}");
         assert_eq!(after["volume"], 1);
         assert_partition(&after);
+        daemon.finish();
+        let _ = std::fs::remove_file(&log_path);
+    }
+
+    #[test]
+    fn a_volume_lot_that_streams_nothing_stops_when_its_client_hangs_up() {
+        let (log_path, event_log) = temp_event_log("silent");
+        let mut daemon = Gated::start(ServerConfig {
+            event_log: Some(event_log),
+            ..ServerConfig::default()
+        });
+        let ctx = daemon.service.context();
+        let all_pass = datalog_text::write(&Datalog {
+            circuit_name: ctx.circuit.name().to_owned(),
+            num_patterns: ctx.patterns.len(),
+            entries: Vec::new(),
+        });
+        let lot: Vec<(String, String)> = (0..8)
+            .map(|i| (format!("device-{i:03}.log"), all_pass.clone()))
+            .collect();
+        let stream = send_volume(daemon.addr, &lot);
+        // Test escapes stream no frame, so no failed write can notice the
+        // hang-up: device 0 finishes, and device 1 must not start.
+        daemon.wait_entered();
+        drop(stream);
+        daemon.open_gate();
+
+        let devices = assert_client_gone(&logged_record(&log_path, "volume"));
+        assert_eq!(devices, 1, "only device 0 ran");
+        daemon.finish();
+        let _ = std::fs::remove_file(&log_path);
+    }
+
+    #[test]
+    fn job_spans_from_the_workers_reach_the_request_record() {
+        let (log_path, event_log) = temp_event_log("handoff");
+        let mut daemon = Gated::start(ServerConfig {
+            event_log: Some(event_log),
+            ..ServerConfig::default()
+        });
+        daemon.open_gate();
+        let mut client = Client::connect(daemon.addr, IO_TIMEOUT).expect("connects");
+        let response = client.submit(&daemon.texts[0], 0).expect("answered");
+        assert!(!response.suspects.is_empty(), "a failing device fans out");
+
+        let record = logged_record(&log_path, "request");
+        let roots = record
+            .get("spans")
+            .and_then(|s| s.get("trace"))
+            .and_then(|t| t.as_array())
+            .expect("span forest");
+        let attr = |node: &Value, key: &str| {
+            node.get("attrs")
+                .and_then(|a| a.get(key))
+                .and_then(|v| v.as_u64())
+        };
+        let has_child = |node: &Value, name: &str| {
+            node.get("children")
+                .and_then(|c| c.as_array())
+                .is_some_and(|c| c.iter().any(|n| text(n, "name").as_deref() == Some(name)))
+        };
+        let named = |name: &str| -> Vec<&Value> {
+            roots
+                .iter()
+                .filter(|n| text(n, "name").as_deref() == Some(name))
+                .collect()
+        };
+
+        let fronts = named("batch.front");
+        assert_eq!(fronts.len(), 1, "one front job: {roots:?}");
+        assert_eq!(attr(fronts[0], "datalog"), Some(0));
+        assert!(has_child(fronts[0], "flow.intercell"), "{:?}", fronts[0]);
+
+        let suspects = named("batch.suspect");
+        let mut slots: Vec<u64> = suspects
+            .iter()
+            .map(|n| {
+                assert_eq!(attr(n, "datalog"), Some(0));
+                assert!(has_child(n, "flow.analyze_suspect"), "{n:?}");
+                attr(n, "slot").expect("slot attribute")
+            })
+            .collect();
+        slots.sort_unstable();
+        let expected: Vec<u64> = (0..response.suspects.len() as u64).collect();
+        assert_eq!(slots, expected, "one suspect job per streamed gate");
         daemon.finish();
         let _ = std::fs::remove_file(&log_path);
     }

@@ -3,7 +3,7 @@
 //! One [`LiveStats`] lives in the shared server state. The request path
 //! touches it twice per request — one atomic increment per outcome
 //! counter and one brief mutex around a
-//! [`WindowedHistogram`](icd_obs::WindowedHistogram) — so snapshots
+//! [`WindowedHistogram`] — so snapshots
 //! never pause service: a snapshot reads the atomics and clones merged
 //! histograms without blocking writers for more than one record.
 //!

@@ -12,10 +12,7 @@
 //! — volume diagnosis must rank the planted gate first without any
 //! assumption on how the remaining failures distribute.
 
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
-
-use icd_defects::{sample_defects, MixConfig};
+use icd_engine::defect_pool;
 use icd_engine::flow::{ExperimentContext, FlowError};
 use icd_faultsim::{run_test_multi, Datalog, FaultyGate};
 use icd_netlist::GateId;
@@ -74,48 +71,6 @@ pub struct Population {
     pub planted_devices: usize,
 }
 
-fn mix_seed(seed: u64, name: &str) -> u64 {
-    let mut h = DefaultHasher::new();
-    seed.hash(&mut h);
-    name.hash(&mut h);
-    h.finish()
-}
-
-/// Builds the observable defect pool over the circuit's cell population
-/// (stuck/bridge classes only, like the batch synthesizer).
-fn defect_pool(
-    ctx: &ExperimentContext,
-    config: &PopulationConfig,
-) -> Result<Vec<FaultyGate>, FlowError> {
-    let mix = MixConfig {
-        stuck: 0.6,
-        bridge: 0.4,
-        delay: 0.0,
-        ..MixConfig::default()
-    };
-    let mut pool: Vec<FaultyGate> = Vec::new();
-    for cell in ctx.cells.iter() {
-        let instances = ctx.instances_of(cell.name());
-        if instances.is_empty() {
-            continue;
-        }
-        let sample = sample_defects(
-            cell.netlist(),
-            config.samples_per_cell,
-            &mix,
-            mix_seed(config.seed, cell.name()),
-        )?;
-        for (k, injected) in sample.iter().enumerate() {
-            let Some(behavior) = injected.characterization.behavior.clone() else {
-                continue;
-            };
-            let gate = instances[k % instances.len()];
-            pool.push(FaultyGate::new(gate, behavior));
-        }
-    }
-    Ok(pool)
-}
-
 /// Whether device `i` of the population carries the planted defect under
 /// `rate` permille — an even Bresenham spread, so planted devices are
 /// interleaved with background ones instead of clustered at the front.
@@ -141,7 +96,7 @@ pub fn synthesize_population(
     ctx: &ExperimentContext,
     config: &PopulationConfig,
 ) -> Result<Population, FlowError> {
-    let pool = defect_pool(ctx, config)?;
+    let pool = defect_pool(ctx, config.samples_per_cell, config.seed)?;
 
     // The planted defect: the first pool candidate the test set excites.
     let mut planted: Option<(FaultyGate, Datalog)> = None;
