@@ -51,11 +51,6 @@ impl StdCell {
         &self.netlist
     }
 
-    /// The reference boolean function (inputs in pin order).
-    pub fn reference_output(&self, bits: &[bool]) -> bool {
-        (self.reference)(bits)
-    }
-
     /// Derives the gate-level view by exhaustive switch-level simulation.
     ///
     /// # Panics
@@ -155,13 +150,6 @@ impl CellLibrary {
             .map(|(i, c)| (c.name().to_owned(), i))
             .collect();
         CellLibrary { cells, by_name }
-    }
-
-    /// The standard library behind an [`Arc`](std::sync::Arc), ready to
-    /// share across diagnosis worker threads without cloning the
-    /// transistor netlists.
-    pub fn standard_shared() -> std::sync::Arc<Self> {
-        std::sync::Arc::new(CellLibrary::standard())
     }
 
     /// Moves the library behind an [`Arc`](std::sync::Arc) — the batch

@@ -201,11 +201,12 @@ impl BatchEngine {
     /// cover the cache's whole lifetime, not just this batch.
     ///
     /// To observe a run, install an [`icd_obs::Collector`] around the
-    /// call: every job then executes under a span carrying its merge
-    /// identity (`batch.front` with a `datalog` attribute,
-    /// `batch.suspect` with `datalog` and `slot`), and the run's cache,
-    /// set-cover and pool health counters are recorded before the pool
-    /// is joined.
+    /// call: the run's stage histograms and its cache, set-cover and
+    /// pool health counters are recorded into it before the pool is
+    /// joined. To trace it, enter an [`icd_obs::TraceContext`] around
+    /// the call: every job then enters that trace and executes under a
+    /// span carrying its merge identity (`batch.front` with a `datalog`
+    /// attribute, `batch.suspect` with `datalog` and `slot`).
     ///
     /// # Errors
     ///

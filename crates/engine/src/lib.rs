@@ -40,10 +40,11 @@
 //!   fault-injection hook and streamed [`StreamEvent`]s — the execution
 //!   core of the `icd-server` daemon;
 //! * **observability** — with an [`icd_obs`] [`Collector`] installed
-//!   around [`BatchEngine::diagnose_batch`], every job runs under a span
-//!   keyed by its merge identity, and the run records per-stage latency
-//!   histograms, cache/set-cover counters and pool health (queue
-//!   high-water, per-worker busy/idle). The span forest and the redacted
+//!   around [`BatchEngine::diagnose_batch`], the run records per-stage
+//!   latency histograms, cache/set-cover counters and pool health (queue
+//!   high-water, per-worker busy/idle); with an [`icd_obs::TraceContext`]
+//!   entered around it, every job enters that trace and runs under a
+//!   span keyed by its merge identity. The span forest and the redacted
 //!   metrics snapshot are byte-identical at any worker count.
 //!
 //! ```

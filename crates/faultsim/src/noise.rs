@@ -107,18 +107,6 @@ pub enum Corruption {
     },
 }
 
-impl Corruption {
-    /// Whether this primitive only acts on the serialized text.
-    pub fn is_text_level(&self) -> bool {
-        matches!(
-            self,
-            Corruption::DuplicateLines { .. }
-                | Corruption::ShuffleLines
-                | Corruption::GarbleBytes { .. }
-        )
-    }
-}
-
 /// A seedable sequence of corruptions emulating one noisy tester.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NoiseModel {

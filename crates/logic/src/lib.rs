@@ -34,6 +34,6 @@ mod pattern;
 mod truth_table;
 
 pub use lv::Lv;
-pub use packed::{PackedEval, PackedPatternSet, PackedWord};
+pub use packed::{PackedEval, PackedWord};
 pub use pattern::{Pattern, PatternPair};
 pub use truth_table::{TruthTable, TruthTableError, MAX_TRUTH_TABLE_INPUTS};

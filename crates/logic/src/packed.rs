@@ -10,23 +10,18 @@
 //!   (`0`/`1`) value. A cleared known bit encodes [`Lv::U`].
 //!
 //! The planes keep the invariant `value & !known == 0` (an unknown lane
-//! never carries a stray value bit), which makes every plane operation a
-//! handful of word-wide AND/OR/XOR/NOT instructions implementing exact
-//! Kleene three-valued logic — see [`PackedWord`].
+//! never carries a stray value bit) — see [`PackedWord`].
 //!
-//! [`PackedPatternSet`] packs a pattern set once (pin-major) and
 //! [`PackedEval`] evaluates a ternary [`TruthTable`] one 64-lane word at a
 //! time, with a minterm-OR fast path when a word is fully known and the
-//! table is binary. Lanes beyond the pattern count in the final word
-//! (*tail lanes*) are pinned to `Zero` so the fast path stays available on
-//! the tail word; consumers must mask with
-//! [`PackedPatternSet::tail_mask`] before interpreting raw planes.
+//! table is binary. Callers build the words from their own bit-planes
+//! (`icd-faultsim`'s simulators, `icd-core`'s ranking).
 //!
 //! The serial, per-pattern evaluators ([`TruthTable::eval`] and friends)
 //! remain the authoritative oracle: every packed operation is
 //! differentially tested against them.
 
-use crate::{Lv, Pattern, TruthTable, TruthTableError};
+use crate::{Lv, TruthTable, TruthTableError};
 
 /// 64 ternary logic values in two bit-planes (value + known mask).
 ///
@@ -47,9 +42,6 @@ pub struct PackedWord {
 }
 
 impl PackedWord {
-    /// All 64 lanes unknown.
-    pub const ALL_U: PackedWord = PackedWord { value: 0, known: 0 };
-
     /// Builds a word from raw planes, clearing value bits of unknown lanes.
     #[inline]
     pub fn new(value: u64, known: u64) -> PackedWord {
@@ -57,51 +49,6 @@ impl PackedWord {
             value: value & known,
             known,
         }
-    }
-
-    /// All lanes of `mask` set to `v`; lanes outside `mask` are `U`.
-    #[inline]
-    pub fn splat(v: Lv, mask: u64) -> PackedWord {
-        match v {
-            Lv::Zero => PackedWord {
-                value: 0,
-                known: mask,
-            },
-            Lv::One => PackedWord {
-                value: mask,
-                known: mask,
-            },
-            Lv::U => PackedWord::ALL_U,
-        }
-    }
-
-    /// Packs up to 64 values; missing lanes are `U`.
-    ///
-    /// Extra values beyond lane 63 are ignored.
-    pub fn from_lanes(lanes: &[Lv]) -> PackedWord {
-        let mut w = PackedWord::ALL_U;
-        for (t, &v) in lanes.iter().take(64).enumerate() {
-            w = w.with_lane(t, v);
-        }
-        w
-    }
-
-    /// The value plane (bit `t` set when lane `t` is `1`).
-    #[inline]
-    pub fn value_plane(self) -> u64 {
-        self.value
-    }
-
-    /// The known plane (bit `t` set when lane `t` is `0` or `1`).
-    #[inline]
-    pub fn known_plane(self) -> u64 {
-        self.known
-    }
-
-    /// Lanes holding `0`, as a mask.
-    #[inline]
-    pub fn zero_plane(self) -> u64 {
-        self.known & !self.value
     }
 
     /// One lane's value (`lane` is taken modulo 64).
@@ -117,192 +64,10 @@ impl PackedWord {
         }
     }
 
-    /// A copy with one lane replaced (`lane` is taken modulo 64).
-    #[inline]
-    #[must_use]
-    pub fn with_lane(self, lane: usize, v: Lv) -> PackedWord {
-        let bit = 1u64 << (lane % 64);
-        match v {
-            Lv::Zero => PackedWord {
-                value: self.value & !bit,
-                known: self.known | bit,
-            },
-            Lv::One => PackedWord {
-                value: self.value | bit,
-                known: self.known | bit,
-            },
-            Lv::U => PackedWord {
-                value: self.value & !bit,
-                known: self.known & !bit,
-            },
-        }
-    }
-
     /// Whether every lane of `mask` is known.
     #[inline]
     pub fn fully_known(self, mask: u64) -> bool {
         self.known & mask == mask
-    }
-
-    /// Lane-wise Kleene AND: `0` dominates, `1 & U = U`.
-    #[inline]
-    #[must_use]
-    pub fn and(self, rhs: PackedWord) -> PackedWord {
-        let zero = self.zero_plane() | rhs.zero_plane();
-        let one = self.value & rhs.value;
-        PackedWord {
-            value: one,
-            known: zero | one,
-        }
-    }
-
-    /// Lane-wise Kleene OR: `1` dominates, `0 | U = U`.
-    #[inline]
-    #[must_use]
-    pub fn or(self, rhs: PackedWord) -> PackedWord {
-        let one = self.value | rhs.value;
-        let zero = self.zero_plane() & rhs.zero_plane();
-        PackedWord {
-            value: one,
-            known: zero | one,
-        }
-    }
-
-    /// Lane-wise Kleene XOR: `U` with anything is `U`.
-    #[inline]
-    #[must_use]
-    pub fn xor(self, rhs: PackedWord) -> PackedWord {
-        let known = self.known & rhs.known;
-        PackedWord {
-            value: (self.value ^ rhs.value) & known,
-            known,
-        }
-    }
-
-    /// Lanes where the two words are *definitely* different (one holds
-    /// `0`, the other `1`) — the packed form of [`Lv::conflicts_with`].
-    #[inline]
-    pub fn conflicts(self, rhs: PackedWord) -> u64 {
-        (self.value ^ rhs.value) & self.known & rhs.known
-    }
-}
-
-/// Lane-wise Kleene NOT: `!U = U`.
-impl std::ops::Not for PackedWord {
-    type Output = PackedWord;
-
-    #[inline]
-    fn not(self) -> PackedWord {
-        PackedWord {
-            value: self.known & !self.value,
-            known: self.known,
-        }
-    }
-}
-
-/// A pattern set packed pin-major: plane `pin * num_words() + w` holds
-/// lanes `64w .. 64w+63` of input pin `pin`.
-///
-/// Built once per datalog / pattern set and shared by every simulation
-/// stage. Tail lanes (beyond `num_patterns()` in the last word) are pinned
-/// to `Zero`; [`PackedPatternSet::tail_mask`] masks them off when a
-/// consumer reads raw planes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PackedPatternSet {
-    width: usize,
-    num_patterns: usize,
-    words: usize,
-    planes: Vec<PackedWord>,
-}
-
-impl PackedPatternSet {
-    /// Packs a pattern set. All patterns must share one width.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TruthTableError::ArityMismatch`] when two patterns have
-    /// different widths.
-    pub fn from_patterns(patterns: &[Pattern]) -> Result<Self, TruthTableError> {
-        let width = patterns.first().map_or(0, Pattern::len);
-        for p in patterns {
-            if p.len() != width {
-                return Err(TruthTableError::ArityMismatch {
-                    left: width,
-                    right: p.len(),
-                });
-            }
-        }
-        let words = patterns.len().div_ceil(64).max(1);
-        // Tail lanes pinned to Zero (not U) so fully specified pattern
-        // sets keep every word fully known — the binary fast path then
-        // applies to the tail word too.
-        let mut planes = vec![PackedWord::splat(Lv::Zero, !0u64); width * words];
-        for (t, p) in patterns.iter().enumerate() {
-            let (w, lane) = (t / 64, t % 64);
-            for (pin, &v) in p.values().iter().enumerate() {
-                let plane = &mut planes[pin * words + w];
-                *plane = plane.with_lane(lane, v);
-            }
-        }
-        Ok(PackedPatternSet {
-            width,
-            num_patterns: patterns.len(),
-            words,
-            planes,
-        })
-    }
-
-    /// Pattern width (pins per pattern).
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Number of packed patterns.
-    pub fn num_patterns(&self) -> usize {
-        self.num_patterns
-    }
-
-    /// Words per pin (`max(1, ceil(num_patterns / 64))`).
-    pub fn num_words(&self) -> usize {
-        self.words
-    }
-
-    /// One 64-pattern word of one pin.
-    ///
-    /// Returns [`PackedWord::ALL_U`] when `pin` or `word` is out of range,
-    /// keeping raw plane access panic-free.
-    pub fn word(&self, pin: usize, word: usize) -> PackedWord {
-        if pin >= self.width || word >= self.words {
-            return PackedWord::ALL_U;
-        }
-        self.planes[pin * self.words + word]
-    }
-
-    /// Mask of the lanes of `word` that correspond to real patterns (all
-    /// bits set for full words, low bits for the tail word).
-    pub fn tail_mask(&self, word: usize) -> u64 {
-        if word + 1 == self.words && !self.num_patterns.is_multiple_of(64) {
-            (1u64 << (self.num_patterns % 64)) - 1
-        } else if word >= self.words {
-            0
-        } else {
-            !0u64
-        }
-    }
-
-    /// The value of one pin under one pattern; `U` when out of range.
-    pub fn value(&self, pin: usize, pattern: usize) -> Lv {
-        if pattern >= self.num_patterns {
-            return Lv::U;
-        }
-        self.word(pin, pattern / 64).lane(pattern % 64)
-    }
-
-    /// Reconstructs one pattern (the packing round-trip).
-    pub fn pattern(&self, pattern: usize) -> Pattern {
-        (0..self.width)
-            .map(|pin| self.value(pin, pattern))
-            .collect()
     }
 }
 
@@ -434,142 +199,30 @@ impl PackedEval {
             known: one | zero,
         })
     }
-
-    /// Evaluates the table over a whole packed pattern set whose pins are
-    /// the table inputs, returning one output word per pattern word.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TruthTableError::WrongArity`] when the set's width
-    /// differs from the table's input count.
-    pub fn eval_set(&self, set: &PackedPatternSet) -> Result<Vec<PackedWord>, TruthTableError> {
-        if set.width() != self.inputs {
-            return Err(TruthTableError::WrongArity {
-                expected: self.inputs,
-                got: set.width(),
-            });
-        }
-        let mut out = Vec::with_capacity(set.num_words());
-        let mut ins: Vec<PackedWord> = Vec::with_capacity(self.inputs.max(1));
-        for w in 0..set.num_words() {
-            ins.clear();
-            ins.extend((0..self.inputs).map(|pin| set.word(pin, w)));
-            out.push(self.eval_word(&ins)?);
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn exhaustive_lanes() -> Vec<Lv> {
-        // All 9 (a, b) ternary combinations plus padding.
-        let mut lanes = Vec::new();
-        for a in Lv::ALL {
-            for b in Lv::ALL {
-                lanes.push(a);
-                lanes.push(b);
+    /// Packs up to 64 lane values through [`PackedWord::new`].
+    fn word_of(lanes: &[Lv]) -> PackedWord {
+        let (mut value, mut known) = (0u64, 0u64);
+        for (t, v) in lanes.iter().enumerate() {
+            if let Some(bit) = v.to_bool() {
+                known |= 1 << t;
+                value |= u64::from(bit) << t;
             }
         }
-        lanes
-    }
-
-    #[test]
-    fn word_round_trips_lanes() {
-        let lanes = exhaustive_lanes();
-        let w = PackedWord::from_lanes(&lanes);
-        for (t, &v) in lanes.iter().enumerate() {
-            assert_eq!(w.lane(t), v, "lane {t}");
-        }
-        // Unfilled lanes are U.
-        assert_eq!(w.lane(63), Lv::U);
+        PackedWord::new(value, known)
     }
 
     #[test]
     fn new_normalizes_the_unrepresentable_combination() {
         let w = PackedWord::new(!0, 0b1010);
-        assert_eq!(w.value_plane(), 0b1010);
+        assert_eq!(w, PackedWord::new(0b1010, 0b1010));
         assert_eq!(w.lane(0), Lv::U);
         assert_eq!(w.lane(1), Lv::One);
-    }
-
-    #[test]
-    fn plane_ops_match_kleene_ops_lane_by_lane() {
-        let mut a_lanes = Vec::new();
-        let mut b_lanes = Vec::new();
-        for a in Lv::ALL {
-            for b in Lv::ALL {
-                a_lanes.push(a);
-                b_lanes.push(b);
-            }
-        }
-        let a = PackedWord::from_lanes(&a_lanes);
-        let b = PackedWord::from_lanes(&b_lanes);
-        for t in 0..a_lanes.len() {
-            assert_eq!(a.and(b).lane(t), a_lanes[t] & b_lanes[t], "AND lane {t}");
-            assert_eq!(a.or(b).lane(t), a_lanes[t] | b_lanes[t], "OR lane {t}");
-            assert_eq!((!a).lane(t), !a_lanes[t], "NOT lane {t}");
-            let xor_ref = (a_lanes[t] & !b_lanes[t]) | (!a_lanes[t] & b_lanes[t]);
-            assert_eq!(a.xor(b).lane(t), xor_ref, "XOR lane {t}");
-            assert_eq!(
-                a.conflicts(b) >> t & 1 == 1,
-                a_lanes[t].conflicts_with(b_lanes[t]),
-                "conflicts lane {t}"
-            );
-        }
-    }
-
-    #[test]
-    fn splat_fills_only_the_mask() {
-        let w = PackedWord::splat(Lv::One, 0b101);
-        assert_eq!(w.lane(0), Lv::One);
-        assert_eq!(w.lane(1), Lv::U);
-        assert_eq!(w.lane(2), Lv::One);
-        assert_eq!(PackedWord::splat(Lv::U, !0), PackedWord::ALL_U);
-    }
-
-    #[test]
-    fn pattern_set_round_trips_and_masks_the_tail() {
-        let patterns: Vec<Pattern> = (0..70)
-            .map(|i| {
-                Pattern::new([
-                    if i % 2 == 0 { Lv::Zero } else { Lv::One },
-                    if i % 3 == 0 { Lv::U } else { Lv::One },
-                ])
-            })
-            .collect();
-        let set = PackedPatternSet::from_patterns(&patterns).unwrap();
-        assert_eq!(set.num_words(), 2);
-        assert_eq!(set.tail_mask(0), !0u64);
-        assert_eq!(set.tail_mask(1), (1u64 << 6) - 1);
-        for (t, p) in patterns.iter().enumerate() {
-            assert_eq!(&set.pattern(t), p, "pattern {t}");
-        }
-        // Tail lanes are pinned to Zero, keeping the word fully known.
-        assert_eq!(set.word(0, 1).lane(6), Lv::Zero);
-        // Out-of-range reads are U, not panics.
-        assert_eq!(set.value(0, 70), Lv::U);
-        assert_eq!(set.word(5, 0), PackedWord::ALL_U);
-    }
-
-    #[test]
-    fn mismatched_widths_are_an_error() {
-        let patterns = vec![Pattern::unknown(2), Pattern::unknown(3)];
-        assert!(matches!(
-            PackedPatternSet::from_patterns(&patterns),
-            Err(TruthTableError::ArityMismatch { left: 2, right: 3 })
-        ));
-    }
-
-    #[test]
-    fn empty_set_has_one_word() {
-        let set = PackedPatternSet::from_patterns(&[]).unwrap();
-        assert_eq!(set.width(), 0);
-        assert_eq!(set.num_words(), 1);
-        assert_eq!(set.num_patterns(), 0);
-        assert_eq!(set.tail_mask(0), !0u64);
     }
 
     #[test]
@@ -588,8 +241,8 @@ mod tests {
                 b_lanes.push(b);
             }
         }
-        let a = PackedWord::from_lanes(&a_lanes);
-        let b = PackedWord::from_lanes(&b_lanes);
+        let a = word_of(&a_lanes);
+        let b = word_of(&b_lanes);
         for table in &tables {
             let eval = PackedEval::from_table(table);
             let out = eval.eval_word(&[a, b]).unwrap();
@@ -605,13 +258,14 @@ mod tests {
         let table = TruthTable::from_fn(3, |b| (b[0] & b[1]) | b[2]);
         let eval = PackedEval::from_table(&table);
         let a = PackedWord::new(0xAAAA_AAAA_AAAA_AAAA, !0);
-        let b = PackedWord::new(0xCCCC_CCCC_CCCC_CCCC, !0);
+        let b_value = 0xCCCC_CCCC_CCCC_CCCC;
+        let b = PackedWord::new(b_value, !0);
         let c = PackedWord::new(0xF0F0_F0F0_F0F0_F0F0, !0);
         // Fully known: the fast path fires.
         let fast = eval.eval_word(&[a, b, c]).unwrap();
         // Force the general path by marking one irrelevant lane unknown,
         // then compare the other lanes.
-        let b_u = b.with_lane(63, Lv::U);
+        let b_u = PackedWord::new(b_value, !0 >> 1);
         let general = eval.eval_word(&[a, b_u, c]).unwrap();
         for t in 0..63 {
             assert_eq!(fast.lane(t), general.lane(t), "lane {t}");
@@ -623,28 +277,12 @@ mod tests {
     fn eval_word_checks_arity() {
         let eval = PackedEval::from_table(&TruthTable::from_fn(2, |b| b[0] & b[1]));
         assert!(matches!(
-            eval.eval_word(&[PackedWord::ALL_U]),
+            eval.eval_word(&[PackedWord::default()]),
             Err(TruthTableError::WrongArity {
                 expected: 2,
                 got: 1
             })
         ));
-    }
-
-    #[test]
-    fn eval_set_walks_every_word() {
-        let table = TruthTable::from_fn(2, |b| !(b[0] & b[1]));
-        let eval = PackedEval::from_table(&table);
-        let patterns: Vec<Pattern> = (0..100)
-            .map(|i| Pattern::from_bits([(i % 2) == 0, (i % 3) == 0]))
-            .collect();
-        let set = PackedPatternSet::from_patterns(&patterns).unwrap();
-        let out = eval.eval_set(&set).unwrap();
-        assert_eq!(out.len(), 2);
-        for (t, p) in patterns.iter().enumerate() {
-            let want = table.eval(p.values()).unwrap();
-            assert_eq!(out[t / 64].lane(t % 64), want, "pattern {t}");
-        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::{Lv, Pattern};
+use crate::Lv;
 
 /// Errors produced when building or evaluating [`TruthTable`]s and parsing
 /// [`Pattern`](crate::Pattern)s.
@@ -227,15 +227,6 @@ impl TruthTable {
             }
         }
         Ok(result.unwrap_or(Lv::U))
-    }
-
-    /// Evaluates the table on a [`Pattern`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`TruthTable::eval`].
-    pub fn eval_pattern(&self, pattern: &Pattern) -> Result<Lv, TruthTableError> {
-        self.eval(pattern.values())
     }
 
     /// Input combinations (as bit vectors) on which `self` and `other`

@@ -495,13 +495,6 @@ impl<'lib> CircuitBuilder<'lib> {
         id
     }
 
-    /// Adds an anonymous primary input net.
-    pub fn add_anonymous_input(&mut self) -> NetId {
-        let id = self.new_net();
-        self.inputs.push(id);
-        id
-    }
-
     /// Returns the net with the given name, creating an (as yet undriven)
     /// placeholder if necessary. Used by the text-format parser, which may
     /// reference nets before their drivers are declared.
@@ -772,6 +765,23 @@ mod tests {
         assert_eq!(circuit.fanout(circuit.gate_output(u1)), &[u2]);
         assert_eq!(circuit.topo_order(), &[u1, u2]);
         assert_eq!(circuit.gate_type(u2).name(), "INV");
+    }
+
+    #[test]
+    fn packed_evaluators_are_compiled_once_per_circuit() {
+        let lib = small_library();
+        let mut b = CircuitBuilder::new("nand", &lib);
+        let a = b.add_input("a");
+        let c = b.add_input("c");
+        let y = b.add_gate("NAND2", &[a, c], Some("U1")).unwrap();
+        b.mark_output(y, "y");
+        let circuit = b.finish().unwrap();
+        let first = Arc::clone(circuit.packed_evaluators());
+        // Still the same compiled evaluators, not fresh per-call copies,
+        // also through a clone of the handle.
+        assert!(Arc::ptr_eq(&first, circuit.packed_evaluators()));
+        assert!(Arc::ptr_eq(&first, circuit.clone().packed_evaluators()));
+        assert_eq!(first.len(), circuit.library().len());
     }
 
     #[test]

@@ -39,15 +39,6 @@ pub enum NetlistError {
         /// The supported maximum ([`icd_logic::MAX_TRUTH_TABLE_INPUTS`]).
         max: usize,
     },
-    /// A pattern's width disagrees with the circuit's input count.
-    WrongPatternWidth {
-        /// Inputs the circuit declares.
-        expected: usize,
-        /// Width of the offending pattern.
-        got: usize,
-        /// Index of the offending pattern in its set.
-        pattern: usize,
-    },
     /// A net is driven by more than one gate.
     MultipleDrivers(String),
     /// A gate input references a net that is never driven and is not an
@@ -96,14 +87,6 @@ impl fmt::Display for NetlistError {
             } => write!(
                 f,
                 "gate type {gate_type:?} declares {inputs} inputs, more than the supported {max}"
-            ),
-            NetlistError::WrongPatternWidth {
-                expected,
-                got,
-                pattern,
-            } => write!(
-                f,
-                "pattern {pattern} has width {got}, the circuit has {expected} inputs"
             ),
             NetlistError::MultipleDrivers(n) => {
                 write!(f, "net {n:?} is driven by more than one gate")

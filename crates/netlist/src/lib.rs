@@ -49,7 +49,6 @@ pub mod format;
 pub mod generator;
 mod ids;
 mod library;
-pub mod packed_sim;
 mod stats;
 
 pub use circuit::{Circuit, CircuitBuilder, ContentHash, ScanCell, ScanInfo, TesterCoordinate};
@@ -57,5 +56,4 @@ pub use cone::{ConeIndex, ConeSet, Levels};
 pub use error::NetlistError;
 pub use ids::{GateId, NetId, TypeId};
 pub use library::{GateType, Library};
-pub use packed_sim::{packed_simulate, packed_simulate_patterns, PackedNetValues};
 pub use stats::CircuitStats;

@@ -1,6 +1,9 @@
 //! Minimal JSON support: an escaping writer used by the exporters and a
 //! small recursive-descent parser used by validation tooling (`icdiag
-//! check-metrics`) and tests — the workspace is offline, so no serde.
+//! check-metrics`, `icdiag benchdiff`) and tests — the workspace is
+//! offline, so no serde. The parser nests at most [`MAX_DEPTH`] arrays
+//! and objects, so a hostile file gets a [`JsonError`], not a stack
+//! overflow.
 
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -115,9 +118,16 @@ impl fmt::Display for JsonError {
 
 impl Error for JsonError {}
 
+/// The deepest nesting of arrays and objects [`parse`] accepts. Each
+/// level is one recursive call; the documents this workspace writes
+/// (span forests, event records, metrics) nest about a dozen levels.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 /// Parses a complete JSON document (one value, optionally surrounded by
@@ -130,6 +140,7 @@ pub fn parse(text: &str) -> Result<Value, JsonError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -178,8 +189,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -187,6 +198,21 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses an array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`] (the error points at the opening bracket).
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, JsonError>,
+    ) -> Result<Value, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Value, JsonError> {
@@ -272,13 +298,14 @@ impl Parser<'_> {
                         b'b' => out.push('\u{8}'),
                         b'f' => out.push('\u{c}'),
                         b'u' => {
-                            let hex = self
+                            let digits = self
                                 .bytes
                                 .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
+                                .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+                                .ok_or_else(|| self.err("\\u escape needs four hex digits"))?;
+                            let code = digits.iter().fold(0, |code, &d| {
+                                code << 4 | char::from(d).to_digit(16).unwrap_or(0)
+                            });
                             self.pos += 4;
                             // Surrogates are not reassembled; replace.
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));

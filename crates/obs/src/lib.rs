@@ -5,45 +5,49 @@
 //! a multi-stage, multi-threaded system; this crate is the measurement
 //! layer that makes it attributable:
 //!
-//! * **Spans** — [`span`] / [`stage`] open a [`SpanGuard`] with
-//!   monotonic timing, a dense thread id and parent linkage via a
-//!   thread-local stack; [`Collector::span_forest`] canonicalizes the
-//!   finished spans into a forest ordered by job identity (datalog
-//!   index, suspect slot), so traces are reproducible at any worker
-//!   count.
+//! * **Spans and traces** — [`span`] / [`stage`] open a [`SpanGuard`]
+//!   with monotonic timing, a dense thread id and parent linkage via a
+//!   thread-local stack. A finished span is kept only by the
+//!   [`TraceContext`] entered on its thread: one per wire request in the
+//!   daemon, one per batch under `icdiag run --trace-out`.
+//!   [`TraceContext::span_forest`] canonicalizes the finished spans into
+//!   a forest ordered by job identity (datalog index, suspect slot), so
+//!   traces are reproducible at any worker count; a trace also keeps
+//!   timestamped point events ([`TraceContext::event`]).
 //! * **Metrics** — [`counter`], [`gauge_set`] and latency histograms
-//!   with fixed log₂ buckets ([`observe_us`]); every value carries a
+//!   with fixed log₂ buckets ([`observe_us`]; a [`stage`] span adds its
+//!   duration to the histogram of its name); every value carries a
 //!   [`Stability`] class so [`MetricsSnapshot::redacted`] can strip the
 //!   scheduling-dependent parts for byte-identical comparison.
-//! * **A process-global collector** — instrumentation sites are free
-//!   functions costing **two relaxed atomic loads** when no
-//!   [`Collector`] is installed and no trace is entered, so the hot
-//!   CPT/ranking paths can stay instrumented always.
-//! * **Per-request traces** — a [`TraceContext`] entered on every
-//!   thread serving one wire request records that request's span forest
-//!   and point events ([`trace_event`]) independently of the
-//!   process-global stream, for structured per-request logging.
+//! * **A process-global collector** — the [`Collector`] stores metrics
+//!   only. Instrumentation sites are free functions costing one or two
+//!   **relaxed atomic loads** when no collector is installed and no
+//!   trace is entered, so the hot CPT/ranking paths can stay
+//!   instrumented always.
 //! * **Rolling windows** — [`WindowedHistogram`] keeps a ring of time
 //!   slices so a live endpoint can report p50/p95/p99
 //!   ([`HistogramSnapshot::percentile_us`]) over recent traffic.
 //! * **Export** — [`MetricsSnapshot::to_json`], a human `Display`
-//!   summary table, span-tree JSON with a redaction mode, a rotating
-//!   JSONL [`EventLog`], and a minimal [`json`] parser for offline
-//!   validation tooling.
+//!   summary table, span-tree JSON with a redaction mode
+//!   ([`forest_json`]), a rotating JSONL [`EventLog`], and a minimal
+//!   [`json`] parser for offline validation tooling.
 //!
 //! ```
-//! use icd_obs::Collector;
+//! use icd_obs::{Collector, TraceContext};
 //!
 //! let collector = Collector::new();
+//! let trace = TraceContext::new(1);
 //! {
 //!     let _active = collector.install();
+//!     let _entered = trace.enter();
 //!     let _outer = icd_obs::stage("example.outer");
 //!     let _inner = icd_obs::span("example.inner");
 //!     icd_obs::counter("example.count", 2, icd_obs::Stability::Stable);
 //! }
 //! let snapshot = collector.snapshot();
 //! assert_eq!(snapshot.counters["example.count"].0, 2);
-//! let forest = collector.span_forest();
+//! assert_eq!(snapshot.histograms["example.outer"].count, 1);
+//! let forest = trace.span_forest();
 //! assert_eq!(forest[0].children[0].name, "example.inner");
 //! ```
 
@@ -60,15 +64,15 @@ mod trace;
 mod window;
 
 pub use collector::{
-    counter, enabled, gauge_set, observe_us, observe_us_unstable, span, span_with, stage,
-    Collector, InstallGuard, LocalInstallGuard, SpanGuard,
+    counter, enabled, gauge_set, observe_us, observe_us_unstable, Collector, InstallGuard,
+    LocalInstallGuard,
 };
 pub use eventlog::{EventLog, DEFAULT_MAX_BYTES};
 pub use metrics::{
     bucket_index, bucket_lower_bound_us, HistogramSnapshot, MetricsSnapshot, Stability, BUCKETS,
 };
-pub use span::{forest_json, SpanNode};
-pub use trace::{mint_trace_id, trace_event, TraceContext, TraceEvent, TraceGuard};
+pub use span::{forest_json, span, span_with, stage, SpanGuard, SpanNode};
+pub use trace::{mint_trace_id, TraceContext, TraceEvent, TraceGuard};
 pub use window::WindowedHistogram;
 
 #[cfg(test)]
@@ -92,14 +96,16 @@ mod tests {
     fn disabled_sites_record_nothing() {
         let _serial = serial();
         let collector = Collector::new();
-        // Not installed: everything is a no-op.
+        let trace = TraceContext::new(1);
+        // Neither installed nor entered: everything is a no-op.
         counter("t.counter", 5, Stability::Stable);
         observe_us("t.hist", 10);
         drop(span("t.span"));
+        drop(stage("t.stage"));
         let snap = collector.snapshot();
         assert!(snap.counters.is_empty());
         assert!(snap.histograms.is_empty());
-        assert!(collector.span_forest().is_empty());
+        assert!(trace.span_forest().is_empty());
         assert!(!enabled());
     }
 
@@ -128,20 +134,24 @@ mod tests {
     fn spans_nest_by_thread_local_stack_and_cross_threads() {
         let _serial = serial();
         let collector = Collector::new();
+        let trace = TraceContext::new(1);
         {
             let _active = collector.install();
+            let _entered = trace.enter();
             let _root = span_with("t.root", &[("datalog", 3)]);
             {
                 let _child = stage("t.child");
                 let _grandchild = span("t.grandchild");
             }
-            let handle = std::thread::spawn(|| {
+            let worker_trace = trace.clone();
+            let handle = std::thread::spawn(move || {
                 // Fresh thread: empty stack, so this is a root.
+                let _entered = worker_trace.enter();
                 drop(span_with("t.other_root", &[("datalog", 1), ("slot", 2)]));
             });
             handle.join().unwrap();
         }
-        let forest = collector.span_forest();
+        let forest = trace.span_forest();
         assert_eq!(forest.len(), 2);
         // Job roots sort by datalog index, not completion order.
         assert_eq!(forest[0].name, "t.other_root");
@@ -157,20 +167,20 @@ mod tests {
     #[test]
     fn a_span_keeps_its_first_two_keyed_attributes() {
         let _serial = serial();
-        let collector = Collector::new();
+        let trace = TraceContext::new(1);
         {
-            let _active = collector.install();
+            let _entered = trace.enter();
             let attrs = [("", 7), ("datalog", 4), ("slot", 1), ("extra", 9)];
             drop(span_with("t.job", &attrs));
         }
-        let forest = collector.span_forest();
+        let forest = trace.span_forest();
         assert_eq!(forest[0].attrs, vec![("datalog", 4), ("slot", 1)]);
     }
 
     #[test]
-    fn metrics_only_collector_keeps_histograms_but_no_spans() {
+    fn a_collector_keeps_stage_histograms_without_a_trace() {
         let _serial = serial();
-        let collector = Collector::metrics_only();
+        let collector = Collector::new();
         {
             let _active = collector.install();
             for _ in 0..3 {
@@ -179,7 +189,6 @@ mod tests {
                 counter("t.requests", 1, Stability::Stable);
             }
         }
-        assert!(collector.span_forest().is_empty());
         let snap = collector.snapshot();
         assert_eq!(snap.histograms["t.stage"].count, 3);
         assert_eq!(snap.counters["t.requests"].0, 3);
@@ -220,9 +229,6 @@ mod tests {
         assert_eq!(in_trace.len(), 1);
         assert_eq!(in_trace[0].name, "t.request");
         assert_eq!(in_trace[0].children[0].name, "t.stage");
-        let in_collector = collector.span_forest();
-        assert_eq!(in_collector.len(), 1);
-        assert_eq!(in_collector[0].children[0].name, "t.stage");
         // Stage histograms stay a collector concern.
         assert_eq!(collector.snapshot().histograms["t.stage"].count, 1);
     }
@@ -243,15 +249,15 @@ mod tests {
     }
 
     #[test]
-    fn trace_json_redaction_hides_timing_fields() {
+    fn forest_json_redaction_hides_timing_fields() {
         let _serial = serial();
-        let collector = Collector::new();
+        let trace = TraceContext::new(1);
         {
-            let _active = collector.install();
+            let _entered = trace.enter();
             let _s = span_with("t.json", &[("datalog", 0)]);
         }
-        let full = collector.trace_json(false);
-        let redacted = collector.trace_json(true);
+        let full = forest_json(&trace.span_forest(), false);
+        let redacted = forest_json(&trace.span_forest(), true);
         assert!(full.contains("\"duration_us\""));
         assert!(full.contains("\"thread\""));
         assert!(!redacted.contains("\"duration_us\""));

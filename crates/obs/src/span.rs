@@ -1,5 +1,13 @@
-//! Canonical span trees: turning the unordered stream of finished spans
-//! into a forest whose *structure* is identical for any worker count.
+//! Spans: the guards instrumentation sites open, the records a trace
+//! keeps, and the canonical forest those records export as.
+//!
+//! [`span`] / [`span_with`] / [`stage`] open a [`SpanGuard`] with
+//! monotonic timing, a dense thread id and parent linkage via a
+//! thread-local stack. A finished span is recorded only into the
+//! [`TraceContext`](crate::TraceContext) entered on its thread; with no
+//! trace entered, a plain span is an empty guard. A [`stage`] span also
+//! feeds its duration into the installed
+//! [`Collector`](crate::Collector)'s latency histogram of the same name.
 //!
 //! Spans finish in scheduling order, so the raw record is
 //! nondeterministic. Canonicalization restores determinism:
@@ -17,10 +25,199 @@
 //! `tests/tests/obs_determinism.rs` asserts the redacted JSON is
 //! byte-identical at 1 and 8 workers.
 
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
+use std::num::NonZeroU64;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
 
-use crate::collector::RawSpan;
+use crate::collector::{self, Inner};
 use crate::json;
+use crate::metrics::Stability;
+use crate::trace::{self, TraceInner};
+
+/// Small dense per-thread ids (worker threads of one process), assigned
+/// on first use.
+static NEXT_THREAD: AtomicU64 = AtomicU64::new(0);
+/// Process-global span id counter. Ids are handed out in start order, so
+/// they also order siblings (which run sequentially on one thread); only
+/// *relative* order matters downstream, so a global counter preserves
+/// every canonicalization guarantee.
+static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
+
+thread_local! {
+    static THREAD_ID: Cell<Option<u64>> = const { Cell::new(None) };
+    /// Ids of the spans currently open on this thread, innermost last —
+    /// the parent linkage of new spans.
+    static SPAN_STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+}
+
+fn thread_id() -> u64 {
+    THREAD_ID.with(|c| match c.get() {
+        Some(id) => id,
+        None => {
+            let id = NEXT_THREAD.fetch_add(1, Ordering::Relaxed);
+            c.set(Some(id));
+            id
+        }
+    })
+}
+
+/// Most attributes a span keeps: a batch job's identity (datalog, slot).
+const MAX_ATTRS: usize = 2;
+
+/// A span's attributes, held inline, so opening and recording a span
+/// allocates nothing. With a heap `Vec` here, the daemon's request
+/// throughput on a small design fell by about a tenth once every job span
+/// carried attributes. An empty key marks an unused slot.
+#[derive(Debug, Clone, Copy)]
+struct Attrs([(&'static str, u64); MAX_ATTRS]);
+
+impl Attrs {
+    /// The first [`MAX_ATTRS`] of `attrs` that have a key.
+    fn new(attrs: &[(&'static str, u64)]) -> Self {
+        let mut items = [("", 0); MAX_ATTRS];
+        let keyed = attrs.iter().filter(|(key, _)| !key.is_empty());
+        for (item, attr) in items.iter_mut().zip(keyed) {
+            *item = *attr;
+        }
+        Attrs(items)
+    }
+
+    fn as_slice(&self) -> &[(&'static str, u64)] {
+        let len = self.0.iter().take_while(|(key, _)| !key.is_empty()).count();
+        &self.0[..len]
+    }
+}
+
+/// One finished span as recorded, before canonicalization.
+#[derive(Debug, Clone)]
+pub(crate) struct RawSpan {
+    id: u64,
+    parent: Option<NonZeroU64>,
+    name: &'static str,
+    attrs: Attrs,
+    thread: u64,
+    start_us: u64,
+    duration_us: u64,
+}
+
+/// An open span; finishing (dropping) it records the span into the
+/// trace entered when it opened and, for [`stage`] spans, a latency
+/// histogram sample into the installed collector. `None` inside when
+/// neither is there — the whole guard is then a no-op.
+#[derive(Debug)]
+pub struct SpanGuard(Option<OpenSpan>);
+
+#[derive(Debug)]
+struct OpenSpan {
+    trace: Option<Arc<TraceInner>>,
+    /// The collector a stage span's duration goes to.
+    histogram: Option<Arc<Inner>>,
+    id: u64,
+    parent: Option<NonZeroU64>,
+    name: &'static str,
+    attrs: Attrs,
+    start: Instant,
+}
+
+fn open_span(name: &'static str, attrs: &[(&'static str, u64)], stage: bool) -> SpanGuard {
+    // The disabled fast path: a relaxed load (two for a stage), no
+    // further work.
+    let trace = trace::current();
+    let histogram = if stage { collector::active() } else { None };
+    if trace.is_none() && histogram.is_none() {
+        return SpanGuard(None);
+    }
+    let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
+    let parent = SPAN_STACK.with(|s| {
+        let mut s = s.borrow_mut();
+        let parent = s.last().copied().and_then(NonZeroU64::new);
+        s.push(id);
+        parent
+    });
+    SpanGuard(Some(OpenSpan {
+        trace,
+        histogram,
+        id,
+        parent,
+        name,
+        attrs: Attrs::new(attrs),
+        start: Instant::now(),
+    }))
+}
+
+impl Drop for SpanGuard {
+    fn drop(&mut self) {
+        let Some(open) = self.0.take() else {
+            return;
+        };
+        let duration_us = open.start.elapsed().as_micros() as u64;
+        SPAN_STACK.with(|s| {
+            let mut s = s.borrow_mut();
+            // Defensive: only unwind our own frame (guards drop LIFO in
+            // well-formed code, but a leaked guard must not corrupt the
+            // stack for unrelated spans).
+            if s.last() == Some(&open.id) {
+                s.pop();
+            } else if let Some(pos) = s.iter().rposition(|&id| id == open.id) {
+                s.truncate(pos);
+            }
+        });
+        if let Some(trace) = open.trace {
+            trace.record_span(RawSpan {
+                id: open.id,
+                parent: open.parent,
+                name: open.name,
+                attrs: open.attrs,
+                thread: thread_id(),
+                start_us: trace.offset_us(open.start),
+                duration_us,
+            });
+        }
+        if let Some(collector) = open.histogram {
+            collector.observe_us(open.name, duration_us, Stability::Stable);
+        }
+    }
+}
+
+/// Builds a finished root-level span record for work measured outside
+/// the guard machinery — e.g. the frame decode that *produces* a
+/// request's trace id, which necessarily completes before the trace
+/// exists.
+pub(crate) fn external_raw_span(name: &'static str, start_us: u64, duration_us: u64) -> RawSpan {
+    RawSpan {
+        id: NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed),
+        parent: None,
+        name,
+        attrs: Attrs::new(&[]),
+        thread: thread_id(),
+        start_us,
+        duration_us,
+    }
+}
+
+/// Opens a span named `name` as a child of the thread's innermost open
+/// span. One atomic load when no trace is entered anywhere.
+pub fn span(name: &'static str) -> SpanGuard {
+    open_span(name, &[], false)
+}
+
+/// [`span`] with structured attributes (e.g. the datalog index and
+/// suspect slot of a batch job). A span keeps the first two that have a
+/// non-empty key; any further attribute is dropped.
+pub fn span_with(name: &'static str, attrs: &[(&'static str, u64)]) -> SpanGuard {
+    open_span(name, attrs, false)
+}
+
+/// A *stage* span: like [`span`], and additionally records the span
+/// duration into the installed collector's latency histogram of the
+/// same name on close — the per-stage latency metric of the diagnosis
+/// flow.
+pub fn stage(name: &'static str) -> SpanGuard {
+    open_span(name, &[], true)
+}
 
 /// One span in the canonical forest.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,7 +228,7 @@ pub struct SpanNode {
     pub attrs: Vec<(&'static str, u64)>,
     /// Dense per-process id of the recording thread.
     pub thread: u64,
-    /// Start offset from collector creation (µs).
+    /// Start offset from trace creation (µs).
     pub start_us: u64,
     /// Wall-clock duration (µs).
     pub duration_us: u64,

@@ -1,26 +1,24 @@
-//! Per-request traces: a second, request-scoped span sink that rides
-//! the same instrumentation sites as the process collector.
+//! Per-request traces: the one place finished spans are kept.
 //!
 //! The server mints (or accepts from the client) a 64-bit trace id per
-//! wire request and creates a [`TraceContext`]. Every thread that does
-//! work for the request — the connection thread around frame decode and
-//! response encode, each engine worker inside the request's jobs —
+//! wire request and creates a [`TraceContext`]; `icdiag run --trace-out`
+//! creates one around its batch. Every thread that does work for the
+//! request — the connection thread around frame decode and response
+//! encode, each engine worker inside the request's jobs —
 //! [`enter`](TraceContext::enter)s the context for the duration of that
 //! work. While entered, every span opened by [`span`](crate::span) /
-//! [`stage`](crate::stage) is recorded into the trace *in addition to*
-//! whatever collector is installed, so one request's full span forest
-//! (frame decode → engine job → flow stages) can be serialized as a
-//! single structured event-log record, without fishing it back out of
-//! the process-global stream.
+//! [`stage`](crate::stage) is recorded into the trace, so one request's
+//! full span forest (frame decode → engine job → flow stages) can be
+//! serialized as a single structured event-log record. A span opened
+//! with no trace entered is not kept anywhere.
 //!
 //! Timestamped point events (retries, degradations, per-device
-//! progress) attach to the trace via [`TraceContext::event`] or, from
-//! code that only knows "the current request", [`trace_event`].
+//! progress) attach to the trace via [`TraceContext::event`].
 //!
-//! Cost model: the disabled instrumentation fast path is two relaxed
-//! atomic loads (collector installs, entered traces); entering a trace
-//! is a thread-local swap. Contexts are `Send + Sync` and cheap to
-//! clone (an `Arc`).
+//! Cost model: the disabled instrumentation fast path is one relaxed
+//! atomic load of the entered-trace count (plus one of the collector
+//! installs for a stage span); entering a trace is a thread-local swap.
+//! Contexts are `Send + Sync` and cheap to clone (an `Arc`).
 
 use std::cell::RefCell;
 use std::marker::PhantomData;
@@ -28,8 +26,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-use crate::collector::RawSpan;
-use crate::span::{build_forest, SpanNode};
+use crate::span::{build_forest, external_raw_span, RawSpan, SpanNode};
 
 /// Count of entered trace guards process-wide; the disabled fast path
 /// in the span sites loads this once, relaxed.
@@ -40,11 +37,12 @@ thread_local! {
     static CURRENT: RefCell<Option<Arc<TraceInner>>> = const { RefCell::new(None) };
 }
 
-pub(crate) fn any_entered() -> bool {
-    ENTERED.load(Ordering::Relaxed) > 0
-}
-
+/// The trace the calling thread has entered, if any: one relaxed load
+/// when no trace is entered anywhere.
 pub(crate) fn current() -> Option<Arc<TraceInner>> {
+    if ENTERED.load(Ordering::Relaxed) == 0 {
+        return None;
+    }
     CURRENT.with(|c| c.borrow().clone())
 }
 
@@ -76,8 +74,13 @@ pub(crate) struct TraceInner {
 }
 
 impl TraceInner {
-    pub(crate) fn record_span(&self, mut raw: RawSpan, start: Instant) {
-        raw.start_us = start.duration_since(self.epoch).as_micros() as u64;
+    /// Microseconds from the trace's creation to `start` (zero for an
+    /// earlier `start`).
+    pub(crate) fn offset_us(&self, start: Instant) -> u64 {
+        start.duration_since(self.epoch).as_micros() as u64
+    }
+
+    pub(crate) fn record_span(&self, raw: RawSpan) {
         lock(&self.spans).push(raw);
     }
 
@@ -125,11 +128,6 @@ impl TraceContext {
         self.inner.trace_id
     }
 
-    /// Microseconds since the trace was created.
-    pub fn elapsed_us(&self) -> u64 {
-        self.inner.epoch.elapsed().as_micros() as u64
-    }
-
     /// Makes this trace the current one for the calling thread until
     /// the guard drops (restoring whatever was current before). Spans
     /// opened while entered are recorded into the trace.
@@ -158,8 +156,9 @@ impl TraceContext {
         start: Instant,
         duration: std::time::Duration,
     ) {
-        let raw = crate::collector::external_raw_span(name, duration.as_micros() as u64);
-        self.inner.record_span(raw, start);
+        let start_us = self.inner.offset_us(start);
+        let raw = external_raw_span(name, start_us, duration.as_micros() as u64);
+        self.inner.record_span(raw);
     }
 
     /// The recorded point events, in record order.
@@ -167,8 +166,10 @@ impl TraceContext {
         lock(&self.inner.events).clone()
     }
 
-    /// The finished spans as a canonical forest (same ordering rules as
-    /// [`Collector::span_forest`](crate::Collector::span_forest)).
+    /// The finished spans as a canonical forest: roots ordered by their
+    /// job identity (`datalog`/`slot` attributes) rather than completion
+    /// order, children by start order — reproducible at any worker
+    /// count.
     pub fn span_forest(&self) -> Vec<SpanNode> {
         build_forest(&lock(&self.inner.spans))
     }
@@ -186,17 +187,6 @@ impl Drop for TraceGuard {
     fn drop(&mut self) {
         CURRENT.with(|c| *c.borrow_mut() = self.prev.take());
         ENTERED.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// Records a point event on the calling thread's current trace, if any.
-/// Two relaxed loads when no trace is entered anywhere.
-pub fn trace_event(kind: &'static str, detail: impl Into<String>) {
-    if !any_entered() {
-        return;
-    }
-    if let Some(inner) = current() {
-        inner.event(kind, detail.into());
     }
 }
 
@@ -237,20 +227,6 @@ mod tests {
         assert_eq!(events[0].kind, "first");
         assert_eq!(events[1].kind, "second");
         assert!(events[0].at_us <= events[1].at_us);
-    }
-
-    #[test]
-    fn trace_event_without_an_entered_trace_is_a_noop() {
-        trace_event("orphan", "nobody listening");
-        let trace = TraceContext::new(1);
-        {
-            let _g = trace.enter();
-            trace_event("attached", "x");
-        }
-        trace_event("detached", "y");
-        let events = trace.events();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].kind, "attached");
     }
 
     #[test]
@@ -296,11 +272,12 @@ mod tests {
         let _a = outer.enter();
         {
             let _b = inner.enter();
-            trace_event("e", "inner wins");
+            drop(crate::span("e.inner_wins"));
         }
-        trace_event("e", "outer restored");
-        assert_eq!(inner.events().len(), 1);
-        assert_eq!(outer.events().len(), 1);
-        assert_eq!(outer.events()[0].detail, "outer restored");
+        drop(crate::span("e.outer_restored"));
+        let names =
+            |t: &TraceContext| -> Vec<&str> { t.span_forest().iter().map(|n| n.name).collect() };
+        assert_eq!(names(&inner), ["e.inner_wins"]);
+        assert_eq!(names(&outer), ["e.outer_restored"]);
     }
 }

@@ -85,6 +85,7 @@ use icd_engine::{
 use icd_faultsim::{datalog_text, Datalog};
 use icd_netlist::generator;
 use icd_obs::json::Value;
+use icd_obs::TraceContext;
 use icd_server::{ChaosPanics, Client, ResponseStatus, Server, ServerConfig};
 use icd_volume::{
     synthesize_population, AggregationConfig, PopulationConfig, RootCauseKind, VolumeInput,
@@ -336,7 +337,10 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             .find(|(n, _)| n == name)
             .map(|(_, v)| PathBuf::from(v))
     };
-    let trace_out = out_path("trace-out");
+    // Spans are kept only when a trace file is asked for: the batch
+    // runs inside this trace, which the engine hands to every job.
+    let trace =
+        out_path("trace-out").map(|path| (path, TraceContext::new(icd_obs::mint_trace_id())));
     let metrics_out = out_path("metrics-out");
 
     let ctx = load_context(&dir)?;
@@ -366,6 +370,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     }
     let batch = {
         let _recording = collector.install();
+        let _entered = trace.as_ref().map(|(_, trace)| trace.enter());
         engine.diagnose_batch(&ctx, &datalogs, &Default::default())
     }
     .map_err(|e| format!("batch diagnosis: {e}"))?;
@@ -437,8 +442,8 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             }
         }
     }
-    if let Some(path) = trace_out {
-        std::fs::write(&path, collector.trace_json(false))
+    if let Some((path, trace)) = trace {
+        std::fs::write(&path, icd_obs::forest_json(&trace.span_forest(), false))
             .map_err(|e| format!("writing {}: {e}", path.display()))?;
     }
     if let Some(path) = metrics_out {
@@ -679,9 +684,7 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
         ..ServerConfig::default()
     };
 
-    // Metrics only: nothing reads the span forest of a daemon, and
-    // keeping every finished span would grow memory with each request.
-    let collector = Collector::metrics_only();
+    let collector = Collector::new();
     let _guard = collector.install();
     let server = Server::bind(&addr, ctx, config).map_err(|e| format!("binding {addr}: {e}"))?;
     let bound = server

@@ -132,11 +132,6 @@ impl ServerHandle {
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
     }
-
-    /// Whether shutdown has been requested.
-    pub fn is_draining(&self) -> bool {
-        self.state.draining.load(Ordering::Acquire)
-    }
 }
 
 /// How a finished [`Server::run`] drained.

@@ -7,15 +7,18 @@
 //! queue high-water, cache hit/miss splits); the redaction contract is what
 //! makes observed runs comparable across machines and worker counts.
 //!
-//! The collector each observed run installs around the batch is process
-//! global, so the tests in this binary serialize on a local lock (other
-//! integration test files are separate processes and cannot interfere).
+//! An observed run installs a collector (metrics) and enters a trace
+//! (spans) around the batch; the engine hands the trace to every job.
+//! The collector is process global, so the tests in this binary
+//! serialize on a local lock (other integration test files are separate
+//! processes and cannot interfere).
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use icd_engine::flow::ExperimentContext;
 use icd_engine::{synthesize_batch, BatchConfig, BatchEngine, Collector, EngineConfig};
 use icd_faultsim::Datalog;
+use icd_obs::TraceContext;
 
 static OBSERVED: Mutex<()> = Mutex::new(());
 
@@ -48,14 +51,16 @@ fn observed_run(
 ) -> (String, String) {
     let engine = BatchEngine::new(EngineConfig::with_workers(workers));
     let collector = Collector::new();
+    let trace = TraceContext::new(1);
     let report = {
         let _recording = collector.install();
+        let _entered = trace.enter();
         engine.diagnose_batch(ctx, batch, &Default::default())
     }
     .expect("batch runs");
     assert_eq!(report.outcomes.len(), batch.len());
     (
-        collector.trace_json(true),
+        icd_obs::forest_json(&trace.span_forest(), true),
         collector.snapshot().redacted().to_json(),
     )
 }
@@ -125,15 +130,17 @@ fn observed_run_records_job_spans_and_stage_histograms() {
     let (ctx, batch) = batch_fixture();
     let engine = BatchEngine::new(EngineConfig::with_workers(4));
     let collector = Collector::new();
+    let trace = TraceContext::new(1);
     let report = {
         let _recording = collector.install();
+        let _entered = trace.enter();
         engine.diagnose_batch(&ctx, &batch, &Default::default())
     }
     .expect("batch runs");
 
     // One front span per datalog, one suspect span per suspect job —
     // the span forest mirrors the merge identity space.
-    let forest = collector.span_forest();
+    let forest = trace.span_forest();
     let fronts = forest.iter().filter(|n| n.name == "batch.front").count();
     let suspects = forest.iter().filter(|n| n.name == "batch.suspect").count();
     assert_eq!(fronts, batch.len());
@@ -173,12 +180,14 @@ fn unobserved_runs_record_nothing() {
     let (ctx, batch) = batch_fixture();
     let engine = BatchEngine::new(EngineConfig::with_workers(2));
     let bystander = Collector::new();
-    // No collector attached: instrumentation stays disabled end to end,
-    // and an uninstalled collector sees nothing.
+    let bystander_trace = TraceContext::new(1);
+    // No collector attached and no trace entered: instrumentation stays
+    // disabled end to end, and an uninstalled collector and an unentered
+    // trace see nothing.
     let report = engine
         .diagnose_batch(&ctx, &batch, &Default::default())
         .expect("batch runs");
     assert_eq!(report.outcomes.len(), batch.len());
     assert!(bystander.snapshot().counters.is_empty());
-    assert!(bystander.span_forest().is_empty());
+    assert!(bystander_trace.span_forest().is_empty());
 }

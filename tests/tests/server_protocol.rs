@@ -14,7 +14,7 @@
 //!    `Clean` within its deadline;
 //! 4. **bounded daemon telemetry** — a datalog whose header claims more
 //!    patterns than the design applies is one typed error with no panic
-//!    retries, and the metrics-only serve collector keeps no spans.
+//!    retries, and the serve collector keeps the stage histograms.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
@@ -388,11 +388,11 @@ fn oversized_pattern_header_is_one_typed_error_without_panic_retries() {
 }
 
 #[test]
-fn metrics_only_serve_collector_keeps_histograms_but_no_spans() {
+fn serve_collector_keeps_stage_histograms() {
     let _serial = global_collector();
     let (ctx, _batch, texts, summaries) = fixture();
     // What `icdiag serve` installs.
-    let collector = Collector::metrics_only();
+    let collector = Collector::new();
     let _active = collector.install();
     let (addr, handle, join) = start(Arc::clone(&ctx), quick_config());
 
@@ -404,7 +404,6 @@ fn metrics_only_serve_collector_keeps_histograms_but_no_spans() {
     handle.shutdown();
     assert_eq!(join.join().expect("server thread"), DrainOutcome::Clean);
 
-    assert!(collector.span_forest().is_empty(), "serve kept spans");
     let snap = collector.snapshot();
     let sanitized = snap.histograms.get("flow.sanitize").map_or(0, |h| h.count);
     assert!(
