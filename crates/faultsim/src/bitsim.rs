@@ -1,6 +1,8 @@
+use std::sync::OnceLock;
+
 use icd_logic::packed::PackedEval;
 use icd_logic::{Lv, Pattern};
-use icd_netlist::{Circuit, NetId};
+use icd_netlist::{Circuit, GateId, NetId};
 
 use crate::{ternary_simulate, FaultSimError};
 
@@ -8,11 +10,18 @@ use crate::{ternary_simulate, FaultSimError};
 ///
 /// Patterns are packed 64 per `u64` word, net-major. Produced by
 /// [`good_simulate`].
+///
+/// A good machine also carries the observability memo of its design and
+/// pattern set ([`BitValues::obs_memo`]), so every diagnosis that shares
+/// the machine shares the memo.
 #[derive(Debug, Clone)]
 pub struct BitValues {
     num_patterns: usize,
     words_per_net: usize,
+    num_gates: usize,
     data: Vec<u64>,
+    /// `obs(g, w)` entries, gate-major; allocated on the first lookup.
+    obs: OnceLock<Box<[OnceLock<u64>]>>,
 }
 
 impl BitValues {
@@ -43,12 +52,7 @@ impl BitValues {
     }
 
     /// The values a gate's input nets take under one pattern, as booleans.
-    pub fn gate_input_bits(
-        &self,
-        circuit: &Circuit,
-        gate: icd_netlist::GateId,
-        pattern: usize,
-    ) -> Vec<bool> {
+    pub fn gate_input_bits(&self, circuit: &Circuit, gate: GateId, pattern: usize) -> Vec<bool> {
         circuit
             .gate_inputs(gate)
             .iter()
@@ -63,6 +67,41 @@ impl BitValues {
             (1u64 << (self.num_patterns % 64)) - 1
         } else {
             !0u64
+        }
+    }
+
+    /// The memo entry of `obs(gate, w)`: the lanes of word `w` on which
+    /// flipping `gate`'s output reaches an observe point, as
+    /// [`EventSim::observable_lanes`](crate::EventSim::observable_lanes)
+    /// computes it. The answer depends only on the design and the
+    /// patterns, so one entry serves every datalog diagnosed against this
+    /// machine. Fill it with [`OnceLock::get_or_init`], which runs its
+    /// closure exactly once per entry even when threads race.
+    ///
+    /// The table, 16 B per (gate, word), is allocated on the first call:
+    /// [`good_simulate`] never pays for it, nor do the simulation paths
+    /// that never ask.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `gate` or `w` is out of range for the simulated circuit.
+    pub fn obs_memo(&self, gate: GateId, w: usize) -> &OnceLock<u64> {
+        assert!(w < self.words_per_net, "word index out of range");
+        let memo = self.obs.get_or_init(|| {
+            (0..self.num_gates * self.words_per_net)
+                .map(|_| OnceLock::new())
+                .collect()
+        });
+        &memo[gate.index() * self.words_per_net + w]
+    }
+
+    fn new(circuit: &Circuit, num_patterns: usize, words_per_net: usize, data: Vec<u64>) -> Self {
+        BitValues {
+            num_patterns,
+            words_per_net,
+            num_gates: circuit.num_gates(),
+            data,
+            obs: OnceLock::new(),
         }
     }
 }
@@ -149,11 +188,7 @@ pub fn good_simulate(circuit: &Circuit, patterns: &[Pattern]) -> Result<BitValue
         icd_obs::Stability::Stable,
     );
 
-    Ok(BitValues {
-        num_patterns: patterns.len(),
-        words_per_net,
-        data,
-    })
+    Ok(BitValues::new(circuit, patterns.len(), words_per_net, data))
 }
 
 /// The scalar differential oracle for [`good_simulate`]: one
@@ -198,11 +233,7 @@ pub fn good_simulate_scalar(
         patterns.len() as u64,
         icd_obs::Stability::Stable,
     );
-    Ok(BitValues {
-        num_patterns: patterns.len(),
-        words_per_net,
-        data,
-    })
+    Ok(BitValues::new(circuit, patterns.len(), words_per_net, data))
 }
 
 #[cfg(test)]
@@ -329,6 +360,35 @@ mod tests {
                 assert_eq!(packed.value(net, t), scalar.value(net, t), "net {net:?}");
             }
         }
+    }
+
+    #[test]
+    fn observability_memo_is_allocated_on_first_use_and_filled_once() {
+        let lib = lib();
+        let circuit = circuit(&lib);
+        let patterns: Vec<Pattern> = (0..4)
+            .map(|i| Pattern::from_bits([(i & 1) == 1, (i & 2) == 2]))
+            .collect();
+        let good = good_simulate(&circuit, &patterns).unwrap();
+        assert!(good.obs.get().is_none(), "good_simulate allocated the memo");
+
+        // The NAND feeds the XOR at the output: a flip of its output is
+        // observed on every pattern.
+        let y = circuit.outputs()[0];
+        let nand = circuit
+            .driver(circuit.gate_inputs(circuit.driver(y).unwrap())[0])
+            .unwrap();
+        let mut sim = crate::EventSim::new(&circuit).unwrap();
+        let mut lookup = || {
+            *good
+                .obs_memo(nand, 0)
+                .get_or_init(|| sim.observable_lanes(&circuit, &good, nand, 0))
+        };
+        assert_eq!(lookup(), 0b1111);
+        assert_eq!(lookup(), 0b1111);
+        assert!(good.obs.get().is_some());
+        // The one fill evaluated the XOR; the repeated lookup nothing.
+        assert_eq!(sim.gates_evaluated(), 1);
     }
 
     #[test]

@@ -226,6 +226,24 @@ impl EventSim {
             })
     }
 
+    /// `obs(gate, w)`: flips every lane of word `w` at `gate`'s output
+    /// and returns the lanes on which the flip reaches one of
+    /// [`Circuit::observable_outputs`]. Lanes never interact in a binary
+    /// word propagation, so a propagation flipping only `lanes` observes
+    /// exactly `obs(gate, w) & lanes`. [`BitValues::obs_memo`] keeps the
+    /// answer per good machine.
+    pub fn observable_lanes(
+        &mut self,
+        circuit: &Circuit,
+        good: &BitValues,
+        gate: GateId,
+        w: usize,
+    ) -> u64 {
+        let out = circuit.gate_output(gate);
+        self.propagate_word(circuit, good, w, out, !good.word(out, w));
+        self.observed(circuit, good, w, circuit.observable_outputs(gate))
+    }
+
     /// Scalar three-valued fallback for forced values the binary word
     /// path cannot carry (a faulty cell output degrading to `U`).
     /// Delegates to an internal, lazily built [`DiffPropagator`]; its

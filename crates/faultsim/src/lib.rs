@@ -13,8 +13,8 @@
 //!   early exit and fault dropping ([`first_detections`]).
 //! * [`ternary_simulate`] / [`DiffPropagator`] — serial three-valued
 //!   simulation and event-driven difference propagation (used where
-//!   values can be `U`: exact CPT re-verification and faulty-response
-//!   computation).
+//!   values can be `U`: faulty-response computation and
+//!   [`EventSim`]'s three-valued fallback).
 //! * [`GateFault`] — the classical fault models (stuck-at, transition,
 //!   dominant bridging) with parallel-pattern single-fault detection
 //!   ([`detects`]).

@@ -1,6 +1,6 @@
-use icd_faultsim::DiffPropagator;
+use icd_faultsim::{BitValues, DatalogEntry};
 use icd_logic::Lv;
-use icd_netlist::{Circuit, NetId};
+use icd_netlist::{Circuit, GateId, NetId};
 
 /// Classical critical path tracing at gate level.
 ///
@@ -55,41 +55,77 @@ pub fn gate_cpt(circuit: &Circuit, base: &[Lv], start: NetId) -> Vec<NetId> {
     order
 }
 
-/// Exact variant of [`gate_cpt`]: every traced net is re-verified by
-/// forward difference propagation — the net is kept only if actually
-/// flipping it changes the traced observe point. This removes the
-/// classical CPT false positives on self-masking reconvergent stems, at
-/// the cost of one cone-bounded event-driven simulation per traced net.
+/// [`gate_cpt`] for up to 64 datalog entries per word: lane `k` of a
+/// word is entry `k` of a 64-entry chunk of `entries` (entries, not
+/// pattern indices, so a duplicated entry is traced twice).
 ///
-/// `propagator` is reused across calls (see
-/// [`DiffPropagator`]).
-pub fn gate_cpt_exact(
+/// Each chunk seeds every failing output's net with the lanes that fail
+/// there, then makes one reverse-topological pass: for a gate whose
+/// output mask `m` is non-zero, input `i` gets `m & (eval(ins) ^ eval(ins
+/// with input i flipped))`, ORed into that input's net. Under
+/// [`gate_cpt`]'s stem rule a net is critical when it is critical
+/// through any traced branch, so tracing all failing outputs at once
+/// gives exactly the union of the per-output traces.
+///
+/// Calls `credit(entry, gate, value)` for every gate whose output net is
+/// critical under entry `entry` (an index into `entries`), with the
+/// gate's good output value under that entry's pattern; one gate sees
+/// its entries in ascending order. The caller validates every pattern
+/// and output index first.
+pub(crate) fn word_cpt(
     circuit: &Circuit,
-    base: &[Lv],
-    start: NetId,
-    propagator: &mut DiffPropagator,
-) -> Vec<NetId> {
-    let approx = gate_cpt(circuit, base, start);
-    approx
-        .into_iter()
-        .filter(|&net| {
-            if net == start {
-                return true;
+    good: &BitValues,
+    entries: &[DatalogEntry],
+    mut credit: impl FnMut(usize, GateId, bool),
+) {
+    let evals = circuit.packed_evaluators();
+    let outputs = circuit.outputs();
+    let mut critical = vec![0u64; circuit.num_nets()];
+    // Good values per lane, gathered on first use in a chunk.
+    let mut values = vec![0u64; circuit.num_nets()];
+    let mut gathered = vec![usize::MAX; circuit.num_nets()];
+    let mut ins: Vec<u64> = Vec::with_capacity(8);
+    for (c, chunk) in entries.chunks(64).enumerate() {
+        critical.fill(0);
+        for (k, entry) in chunk.iter().enumerate() {
+            for &oi in &entry.failing_outputs {
+                critical[outputs[oi].index()] |= 1u64 << k;
             }
-            let v = base[net.index()];
-            if !v.is_known() {
-                return false;
+        }
+        let mut value = |net: NetId| {
+            let n = net.index();
+            if gathered[n] != c {
+                gathered[n] = c;
+                values[n] = chunk.iter().enumerate().fold(0u64, |word, (k, entry)| {
+                    word | u64::from(good.value(net, entry.pattern_index)) << k
+                });
             }
-            let changed = propagator.propagate(circuit, base, &[(net, !v)]);
-            let start_pos = circuit.outputs().iter().position(|&o| o == start);
-            match start_pos {
-                // The traced point is an observe point: check it directly.
-                Some(pos) => changed.iter().any(|&(i, _)| i == pos),
-                // Otherwise check the effective value at the start net.
-                None => propagator.effective(base, start) != base[start.index()],
+            values[n]
+        };
+        for &gate in circuit.topo_order().iter().rev() {
+            let m = critical[circuit.gate_output(gate).index()];
+            if m == 0 {
+                continue;
             }
-        })
-        .collect()
+            let inputs = circuit.gate_inputs(gate);
+            ins.clear();
+            ins.extend(inputs.iter().map(|&n| value(n)));
+            let eval = &evals[circuit.gate_type_id(gate).index()];
+            let out = eval.eval_binary_word(&ins);
+            for (i, &net) in inputs.iter().enumerate() {
+                ins[i] = !ins[i];
+                let flipped = eval.eval_binary_word(&ins);
+                ins[i] = !ins[i];
+                critical[net.index()] |= m & (out ^ flipped);
+            }
+            let mut rest = m;
+            while rest != 0 {
+                let k = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                credit(c * 64 + k, gate, out >> k & 1 == 1);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -180,34 +216,6 @@ mod tests {
         // Output U: flipping a known 0 input against a U output cannot be
         // decided -> only the start net is reported.
         assert_eq!(crit, vec![y]);
-    }
-
-    #[test]
-    fn exact_variant_drops_self_masking_stem() {
-        // y = (a & b) | (!a & b) == b: classical CPT flags the stem `a`
-        // through the sensitized branch, exact verification removes it.
-        let lib = lib();
-        let mut bld = CircuitBuilder::new("c", &lib);
-        let a = bld.add_input("a");
-        let b = bld.add_input("b");
-        let an = bld.add_gate("INV", &[a], None).unwrap();
-        let t1 = bld.add_gate("AND2", &[a, b], None).unwrap();
-        let t2 = bld.add_gate("AND2", &[an, b], None).unwrap();
-        let y = bld.add_gate("OR2", &[t1, t2], None).unwrap();
-        bld.mark_output(y, "y");
-        let c = bld.finish().unwrap();
-        let base = ternary_simulate(&c, &"11".parse().unwrap()).unwrap();
-        let approx = gate_cpt(&c, &base, y);
-        assert!(approx.contains(&a), "approximate CPT flags the stem");
-        let mut prop = icd_faultsim::DiffPropagator::new(&c);
-        let exact = gate_cpt_exact(&c, &base, y, &mut prop);
-        assert!(!exact.contains(&a), "exact CPT clears the stem");
-        assert!(exact.contains(&b));
-        assert!(exact.contains(&y));
-        // Exact is always a subset of approximate.
-        for net in &exact {
-            assert!(approx.contains(net));
-        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
 use std::collections::HashMap;
 
-use icd_faultsim::{good_simulate, Datalog, EventSim};
-use icd_logic::Lv;
-use icd_netlist::{Circuit, GateId, NetId};
+use icd_faultsim::{good_simulate, Datalog};
+use icd_netlist::{Circuit, GateId};
 
-use crate::{check_pattern_count, gate_cpt, lane_words, IntercellError};
+use crate::cpt::word_cpt;
+use crate::{check_pattern_count, lane_words, IntercellError, Observability};
 
 /// How many passing patterns are examined per candidate when counting
 /// contradictions; bounds the cost on long production test sets.
@@ -136,11 +136,12 @@ impl IntercellDiagnosis {
 /// Effect-cause inter-cell diagnosis: produces ranked suspected gates from
 /// the circuit, the applied patterns and the tester datalog.
 ///
-/// For every failing pattern, gate-level [`gate_cpt`] traces the critical
-/// nets from each failing observe point; the drivers of those nets are the
-/// pattern's candidates. Candidates are then scored against sampled passing
-/// patterns and a greedy set cover produces the multiplet (see
-/// [`IntercellDiagnosis`]).
+/// For every failing pattern, gate-level critical path tracing (the
+/// [`gate_cpt`](crate::gate_cpt) rule, run 64 datalog entries per word)
+/// traces the critical nets from each failing observe point; the drivers
+/// of those nets are the pattern's candidates. Candidates are then scored
+/// against sampled passing patterns and a greedy set cover produces the
+/// multiplet (see [`IntercellDiagnosis`]).
 ///
 /// # Errors
 ///
@@ -197,47 +198,34 @@ pub fn diagnose_with_options(
 ) -> Result<IntercellDiagnosis, IntercellError> {
     check_pattern_count(datalog, patterns)?;
 
-    // Phase 1: candidates from failing-pattern critical paths. Per-gate
-    // state is dense; `seen` holds the last entry that credited the gate,
-    // so each failing pattern counts once per gate.
+    // Validate in datalog order first, so the first bad entry is the one
+    // reported.
+    let num_outputs = circuit.outputs().len();
+    for entry in &datalog.entries {
+        if entry.pattern_index >= patterns.len() {
+            return Err(IntercellError::BadPatternIndex(entry.pattern_index));
+        }
+        if let Some(&oi) = entry.failing_outputs.iter().find(|&&oi| oi >= num_outputs) {
+            return Err(IntercellError::BadOutputIndex(oi));
+        }
+    }
+
+    // Phase 1: candidates from failing-pattern critical paths, traced 64
+    // datalog entries per word. Per-gate state is dense, and each entry
+    // credits a gate at most once, in entry order.
     let num_gates = circuit.num_gates();
     let mut explained: Vec<Vec<usize>> = vec![Vec::new(); num_gates];
     let mut fail_value = vec![false; num_gates];
     let mut consistent = vec![true; num_gates];
-    let mut seen = vec![usize::MAX; num_gates];
-    let mut base = vec![Lv::U; circuit.num_nets()];
-    for (e, entry) in datalog.entries.iter().enumerate() {
-        let t = entry.pattern_index;
-        if t >= patterns.len() {
-            return Err(IntercellError::BadPatternIndex(t));
+    word_cpt(circuit, good, &datalog.entries, |e, gate, v| {
+        let g = gate.index();
+        if explained[g].is_empty() {
+            fail_value[g] = v;
+        } else if fail_value[g] != v {
+            consistent[g] = false;
         }
-        for (i, v) in base.iter_mut().enumerate() {
-            *v = Lv::from(good.value(NetId::from_index(i), t));
-        }
-        for &oi in &entry.failing_outputs {
-            let &start = circuit
-                .outputs()
-                .get(oi)
-                .ok_or(IntercellError::BadOutputIndex(oi))?;
-            for gate in gate_cpt(circuit, &base, start)
-                .into_iter()
-                .filter_map(|net| circuit.driver(net))
-            {
-                let g = gate.index();
-                if seen[g] == e {
-                    continue;
-                }
-                seen[g] = e;
-                let v = good.value(circuit.gate_output(gate), t);
-                if explained[g].is_empty() {
-                    fail_value[g] = v;
-                } else if fail_value[g] != v {
-                    consistent[g] = false;
-                }
-                explained[g].push(t);
-            }
-        }
-    }
+        explained[g].push(datalog.entries[e].pattern_index);
+    });
 
     // Preliminary ranking by explained failures (ties stay in gate order:
     // the list is built in gate order and the sort is stable); only the
@@ -260,9 +248,9 @@ pub fn diagnose_with_options(
     // Phase 2: mispredicts against the sampled passing patterns, 64 per
     // word. If the defect were the stuck-at that explains the failures, a
     // sampled pattern with the same good output value whose flip reaches
-    // an observe point would have failed too. The gate output is flipped
-    // on exactly those lanes and one word propagation scores them all;
-    // lanes never interact, so each verdict is the per-pattern one.
+    // an observe point would have failed too. Lanes never interact, so
+    // the lanes that would have failed are the flipped lanes of the good
+    // machine's observability memo, each verdict the per-pattern one.
     let sample = lane_words(
         good,
         datalog
@@ -270,25 +258,23 @@ pub fn diagnose_with_options(
             .into_iter()
             .take(options.passing_sample),
     );
-    let mut sim = EventSim::new(circuit)?;
+    let mut obs = Observability::new(circuit, good);
     for candidate in candidates.iter_mut().take(options.scored_candidates) {
         if !candidate.consistent_static {
             continue;
         }
         let out = circuit.gate_output(candidate.gate);
         let fail_v = fail_value[candidate.gate.index()];
-        let observable = circuit.observable_outputs(candidate.gate);
         for (w, &lanes) in sample.iter().enumerate() {
             let good_out = good.word(out, w);
             let flip = lanes & if fail_v { good_out } else { !good_out };
             if flip != 0 {
-                sim.propagate_word(circuit, good, w, out, good_out ^ flip);
-                let observed = sim.observed(circuit, good, w, observable) & flip;
+                let observed = obs.lanes(candidate.gate, w)? & flip;
                 candidate.mispredicts += observed.count_ones() as usize;
             }
         }
     }
-    sim.observe();
+    obs.observe();
 
     candidates.sort_by(|a, b| b.rank_key().cmp(&a.rank_key()).then(a.gate.cmp(&b.gate)));
 
@@ -333,7 +319,7 @@ pub fn diagnose_with_options(
     let mut failing_outputs_mask = vec![0u64; circuit.cone_index().output_words()];
     for entry in &datalog.entries {
         for &oi in &entry.failing_outputs {
-            // Positions were validated against `circuit.outputs()` in
+            // Positions were validated against `circuit.outputs()` before
             // phase 1.
             failing_outputs_mask[oi / 64] |= 1u64 << (oi % 64);
         }

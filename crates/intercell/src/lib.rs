@@ -63,7 +63,7 @@ mod diagnose;
 mod error;
 mod local;
 
-pub use cpt::{gate_cpt, gate_cpt_exact};
+pub use cpt::gate_cpt;
 pub use diagnose::{
     diagnose, diagnose_with_good, diagnose_with_options, DiagnoseOptions, GateCandidate,
     IntercellDiagnosis,
@@ -74,8 +74,9 @@ pub use local::{
     LocalPatterns,
 };
 
-use icd_faultsim::{BitValues, Datalog};
+use icd_faultsim::{BitValues, Datalog, EventSim};
 use icd_logic::Pattern;
+use icd_netlist::{Circuit, GateId};
 
 /// Rejects a datalog whose header claims more patterns than were applied:
 /// its passing patterns would index past the good simulation.
@@ -96,4 +97,67 @@ fn lane_words(good: &BitValues, lanes: impl IntoIterator<Item = usize>) -> Vec<u
         words[t / 64] |= 1u64 << (t % 64);
     }
     words
+}
+
+/// `obs(g, w)` lookups against the good machine's memo
+/// ([`BitValues::obs_memo`]). A missing entry is filled by one word
+/// propagation on a simulator built at the first miss, so a call whose
+/// lookups all hit builds none.
+struct Observability<'a> {
+    circuit: &'a Circuit,
+    good: &'a BitValues,
+    sim: Option<EventSim>,
+    lookups: u64,
+    fills: u64,
+}
+
+impl<'a> Observability<'a> {
+    fn new(circuit: &'a Circuit, good: &'a BitValues) -> Self {
+        Observability {
+            circuit,
+            good,
+            sim: None,
+            lookups: 0,
+            fills: 0,
+        }
+    }
+
+    /// The lanes of word `w` on which flipping `gate`'s output reaches an
+    /// observe point.
+    fn lanes(&mut self, gate: GateId, w: usize) -> Result<u64, IntercellError> {
+        self.lookups += 1;
+        let entry = self.good.obs_memo(gate, w);
+        if let Some(&lanes) = entry.get() {
+            return Ok(lanes);
+        }
+        let (circuit, good) = (self.circuit, self.good);
+        let sim = match &mut self.sim {
+            Some(sim) => sim,
+            none => none.insert(EventSim::new(circuit)?),
+        };
+        let fills = &mut self.fills;
+        Ok(*entry.get_or_init(|| {
+            *fills += 1;
+            sim.observable_lanes(circuit, good, gate, w)
+        }))
+    }
+
+    /// Flushes `intercell.obs_memo.{lookups,fills}` and the simulator's
+    /// `eventsim.*` counters. Each entry is filled exactly once per good
+    /// machine, so a batch's sums do not depend on the schedule.
+    fn observe(self) {
+        icd_obs::counter(
+            "intercell.obs_memo.lookups",
+            self.lookups,
+            icd_obs::Stability::Stable,
+        );
+        icd_obs::counter(
+            "intercell.obs_memo.fills",
+            self.fills,
+            icd_obs::Stability::Stable,
+        );
+        if let Some(mut sim) = self.sim {
+            sim.observe();
+        }
+    }
 }

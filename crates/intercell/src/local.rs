@@ -1,8 +1,8 @@
-use icd_faultsim::{good_simulate, Datalog, EventSim};
+use icd_faultsim::{good_simulate, Datalog};
 use icd_logic::Pattern;
 use icd_netlist::{Circuit, GateId};
 
-use crate::{check_pattern_count, lane_words, IntercellError};
+use crate::{check_pattern_count, lane_words, IntercellError, Observability};
 
 /// The values a suspected gate sees under one circuit pattern: the current
 /// cell-input vector and the previous one (needed for dynamic faulty
@@ -133,22 +133,20 @@ pub fn extract_local_patterns_with_good(
         }
     }
 
-    // Observability check, 64 passing patterns per word: the gate output
-    // is flipped on every passing lane at once, and a lane is observed
-    // when its flip reaches an observe point.
+    // Observability check, 64 passing patterns per word: a lane is
+    // observed when a flip of the gate output reaches an observe point,
+    // which the good machine's memo answers for all 64 lanes at once.
     let mut passing: Vec<usize> = datalog.passing_pattern_indices();
     passing.extend(locally_passing);
     passing.sort_unstable();
-    let out = circuit.gate_output(gate);
     let mut observed = lane_words(good, passing.iter().copied());
-    let mut sim = EventSim::new(circuit)?;
+    let mut obs = Observability::new(circuit, good);
     for (w, lanes) in observed.iter_mut().enumerate() {
         if *lanes != 0 {
-            sim.propagate_word(circuit, good, w, out, good.word(out, w) ^ *lanes);
-            *lanes &= sim.observed(circuit, good, w, reachable);
+            *lanes &= obs.lanes(gate, w)?;
         }
     }
-    sim.observe();
+    obs.observe();
     let lpp = passing
         .into_iter()
         .filter(|&t| observed[t / 64] >> (t % 64) & 1 == 1)

@@ -1,14 +1,17 @@
-//! Differential suite for the word-parallel inter-cell scoring.
+//! Differential suite for the word-parallel inter-cell front end.
 //!
-//! Mispredict scoring in `diagnose_with_options` and the observability
-//! check in `extract_local_patterns_with_good` flip a gate output on up
-//! to 64 patterns at once and propagate one word. The scalar code they
-//! replaced is kept below verbatim as the reference: one
-//! `DiffPropagator::propagate` per candidate per pattern on an unpacked
-//! `Vec<Lv>` of every net. Both must return `==` results over generated
-//! circuits, pattern counts on and around word boundaries, single- and
-//! multi-defect datalogs, noise-corrupted and mangled (duplicated,
-//! unsorted) entries, sanitized and raw, under every option set.
+//! `diagnose_with_options` traces critical paths 64 datalog entries per
+//! word, and its mispredict scoring and the observability check in
+//! `extract_local_patterns_with_good` read 64-lane observability masks
+//! memoized on the good machine. The scalar code they replaced is kept
+//! below verbatim as the reference: one `gate_cpt` per failing output
+//! per entry, and one `DiffPropagator::propagate` per candidate per
+//! pattern on an unpacked `Vec<Lv>` of every net. Both must return `==`
+//! results over generated circuits, pattern counts on and around word
+//! boundaries, single- and multi-defect datalogs, noise-corrupted and
+//! mangled (duplicated, unsorted) entries, sanitized and raw, under
+//! every option set — and with one good machine, so one memo, shared by
+//! a whole lot in any order and by several threads at once.
 
 #![allow(clippy::unwrap_used, clippy::panic)] // test code
 
@@ -16,10 +19,13 @@ use std::collections::BTreeMap;
 
 use icd_cells::CellLibrary;
 use icd_faultsim::{
-    enumerate_stuck_at, good_simulate, run_test_gate_fault, Corruption, Datalog, DatalogEntry,
-    NoiseModel,
+    enumerate_stuck_at, good_simulate, run_test_gate_fault, BitValues, Corruption, Datalog,
+    DatalogEntry, NoiseModel,
 };
-use icd_intercell::{diagnose_with_options, extract_local_patterns_with_good, DiagnoseOptions};
+use icd_intercell::{
+    diagnose_with_options, extract_local_patterns_with_good, DiagnoseOptions, IntercellDiagnosis,
+    IntercellError, LocalPatterns,
+};
 use icd_logic::Pattern;
 use icd_netlist::{generator, Circuit, GateId};
 use proptest::prelude::*;
@@ -563,4 +569,135 @@ fn exhaustive_scoring_spans_every_word() {
         scored += word.candidates.iter().map(|c| c.mispredicts).sum::<usize>();
     }
     assert!(scored > 0, "no mispredict was ever scored");
+}
+
+/// One datalog's answers: the diagnosis and the local patterns of its
+/// multiplet and top candidates.
+type Answers = (
+    Result<IntercellDiagnosis, IntercellError>,
+    Vec<Result<LocalPatterns, IntercellError>>,
+);
+
+fn answers(
+    circuit: &Circuit,
+    patterns: &[Pattern],
+    datalog: &Datalog,
+    good: &BitValues,
+    options: &DiagnoseOptions,
+) -> Answers {
+    let diagnosis = diagnose_with_options(circuit, patterns, datalog, good, options);
+    let mut gates: Vec<GateId> = Vec::new();
+    if let Ok(d) = &diagnosis {
+        gates.extend(&d.multiplet);
+        gates.extend(d.candidates.iter().take(3).map(|c| c.gate));
+    }
+    gates.sort_unstable();
+    gates.dedup();
+    let locals = gates
+        .into_iter()
+        .map(|gate| extract_local_patterns_with_good(circuit, patterns, datalog, gate, good))
+        .collect();
+    (diagnosis, locals)
+}
+
+/// The daemon keeps one good machine, and so one observability memo, for
+/// its whole life. A lot diagnosed against one shared machine — in
+/// order, in reverse, and from 4 threads at once — must answer exactly
+/// as a fresh machine per call does, and as the scalar reference does.
+#[test]
+fn a_shared_good_machine_answers_like_a_fresh_one() {
+    let circuit = random_circuit(0x10_7a, 110);
+    let patterns = random_patterns(&circuit, 130, 21);
+    let options = DiagnoseOptions {
+        passing_sample: 100,
+        ..DiagnoseOptions::default()
+    };
+    let mut lot: Vec<Datalog> = (0..10)
+        .map(|i| stuck_at_datalog(&circuit, &patterns, i * 13, 1 + i % 3))
+        .collect();
+    assert!(lot.iter().filter(|d| !d.all_pass()).count() >= 8);
+    // Over 64 entries, duplicated and out of order: phase 1 traces more
+    // than one word of entries.
+    let base = lot.iter().max_by_key(|d| d.entries.len()).unwrap().clone();
+    let mut long = base.clone();
+    while long.entries.len() <= 64 {
+        long.entries.extend(base.entries.iter().rev().cloned());
+    }
+    lot.push(long);
+
+    let expected: Vec<Answers> = lot
+        .iter()
+        .map(|datalog| {
+            let fresh = good_simulate(&circuit, &patterns).unwrap();
+            let answer = answers(&circuit, &patterns, datalog, &fresh, &options);
+            assert_eq!(
+                answer.0,
+                scalar::diagnose_with_options(&circuit, &patterns, datalog, &fresh, &options)
+            );
+            if let Ok(diagnosis) = &answer.0 {
+                let mut gates: Vec<GateId> = diagnosis.multiplet.clone();
+                gates.extend(diagnosis.candidates.iter().take(3).map(|c| c.gate));
+                gates.sort_unstable();
+                gates.dedup();
+                for (gate, local) in gates.into_iter().zip(&answer.1) {
+                    assert_eq!(
+                        local,
+                        &scalar::extract_local_patterns_with_good(
+                            &circuit, &patterns, datalog, gate, &fresh
+                        )
+                    );
+                }
+            }
+            answer
+        })
+        .collect();
+
+    let forward = good_simulate(&circuit, &patterns).unwrap();
+    for (datalog, want) in lot.iter().zip(&expected) {
+        assert_eq!(
+            &answers(&circuit, &patterns, datalog, &forward, &options),
+            want
+        );
+    }
+    // A second pass over the warm memo fills nothing.
+    let collector = icd_obs::Collector::new();
+    {
+        let _local = collector.install_local();
+        for (datalog, want) in lot.iter().zip(&expected) {
+            assert_eq!(
+                &answers(&circuit, &patterns, datalog, &forward, &options),
+                want
+            );
+        }
+    }
+    let counters = collector.snapshot().counters;
+    assert!(counters["intercell.obs_memo.lookups"].0 > 0);
+    assert_eq!(counters["intercell.obs_memo.fills"].0, 0);
+
+    let reverse = good_simulate(&circuit, &patterns).unwrap();
+    for (datalog, want) in lot.iter().zip(&expected).rev() {
+        assert_eq!(
+            &answers(&circuit, &patterns, datalog, &reverse, &options),
+            want
+        );
+    }
+
+    // Each thread walks the whole lot from its own starting point, so the
+    // threads race for the same entries.
+    let shared = good_simulate(&circuit, &patterns).unwrap();
+    std::thread::scope(|scope| {
+        for t in 0..4 {
+            let (circuit, patterns, lot) = (&circuit, &patterns, &lot);
+            let (shared, expected, options) = (&shared, &expected, &options);
+            scope.spawn(move || {
+                for i in 0..lot.len() {
+                    let i = (i + t * 3) % lot.len();
+                    assert_eq!(
+                        &answers(circuit, patterns, &lot[i], shared, options),
+                        &expected[i]
+                    );
+                }
+            });
+        }
+    });
 }

@@ -264,18 +264,11 @@ impl Circuit {
         &self.levels
     }
 
-    /// The lazily built fanout-cone index (see [`ConeIndex`] for the
-    /// memory cost; diagnosis-scale circuits pay a few MiB, and paths
-    /// that never query cones never build it).
+    /// The lazily built observe-point index (see [`ConeIndex`] for the
+    /// memory cost; paths that never query observe points or cone sizes
+    /// never build it).
     pub fn cone_index(&self) -> &ConeIndex {
         self.cones.get_or_init(|| ConeIndex::build(self))
-    }
-
-    /// The transitive fanout cone of `gate` as a gate-index bitset
-    /// (always contains `gate` itself). Builds the cone index on first
-    /// use.
-    pub fn fanout_cone(&self, gate: GateId) -> ConeSet<'_> {
-        self.cone_index().cone(gate)
     }
 
     /// The observe-point positions (indexes into [`Circuit::outputs`])
@@ -286,9 +279,10 @@ impl Circuit {
     }
 
     /// Number of gates in `gate`'s transitive fanout cone (including
-    /// itself). Builds the cone index on first use.
+    /// itself). Builds the cone index on first use and walks each gate's
+    /// cone once.
     pub fn cone_size(&self, gate: GateId) -> u32 {
-        self.cone_index().cone_size(gate)
+        self.cone_index().cone_size(self, gate)
     }
 
     /// One compiled [`PackedEval`] per library type, indexed by

@@ -1,4 +1,4 @@
-//! Levelized structure and fanout-cone reachability indexes.
+//! Levelized structure and observe-point reachability indexes.
 //!
 //! Event-driven fault simulation needs two structural views that a flat
 //! gate list does not give directly:
@@ -7,17 +7,19 @@
 //!   frontier can be drained strictly level by level (every fanout
 //!   successor sits at a strictly greater level, so each gate is
 //!   evaluated at most once per propagation);
-//! * [`ConeIndex`] — per-gate transitive fanout cones and the set of
-//!   observe points each gate can reach, as dense bitsets, so candidate
-//!   pre-filtering and cone-size scheduling are O(cone/64) lookups.
+//! * [`ConeIndex`] — the set of observe points each gate can reach, as
+//!   dense bitsets, so candidate pre-filtering and observation checks are
+//!   O(outputs/64) lookups, plus each gate's fanout-cone size, walked on
+//!   first ask and cached, for cone-size scheduling.
 //!
 //! [`Levels`] is cheap (two flat arrays) and built eagerly by
 //! [`CircuitBuilder::finish`](crate::CircuitBuilder::finish). The cone
-//! index costs `num_gates²/64 + num_gates·num_outputs/64` words — about
-//! 7 MiB for a 7.5k-gate circuit but quadratic in principle — so it is
-//! built lazily on first use and cached on the [`Circuit`]; simulation
-//! paths that never ask for cones (the multi-million-gate Table 6
-//! circuits) never pay for it.
+//! index costs `num_gates·num_outputs/64` words plus 8 B per gate, so it
+//! is built lazily on first use and cached on the [`Circuit`];
+//! simulation paths that never ask for observe points (the
+//! multi-million-gate Table 6 circuits) never pay for it.
+
+use std::sync::OnceLock;
 
 use crate::{Circuit, GateId};
 
@@ -80,7 +82,7 @@ impl Levels {
     }
 }
 
-/// A borrowed dense bitset over gate indexes or observe-point positions.
+/// A borrowed dense bitset over observe-point positions.
 #[derive(Debug, Clone, Copy)]
 pub struct ConeSet<'a> {
     words: &'a [u64],
@@ -92,16 +94,6 @@ impl<'a> ConeSet<'a> {
         self.words
             .get(index / 64)
             .is_some_and(|w| w >> (index % 64) & 1 == 1)
-    }
-
-    /// Number of members.
-    pub fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Whether the set shares any member with `other`.
-    pub fn intersects(&self, other: ConeSet<'_>) -> bool {
-        self.words.iter().zip(other.words).any(|(a, b)| a & b != 0)
     }
 
     /// Whether the set shares any member with the raw bitset `words`.
@@ -130,33 +122,30 @@ impl<'a> ConeSet<'a> {
     }
 }
 
-/// Per-gate transitive fanout cones and observe-point reachability, as
-/// dense bitsets.
+/// Per-gate observe-point reachability, as dense bitsets, and fanout-cone
+/// sizes.
 ///
-/// `cone(g)` is the set of gates (including `g` itself) whose output can
-/// be disturbed by a defect at `g`'s output; `observable(g)` is the set
-/// of positions in [`Circuit::outputs`] that `g`'s output structurally
-/// reaches. Both are computed in one reverse-topological pass: a gate's
-/// cone is itself plus the union of its fanout successors' cones.
+/// `observable(g)` is the set of positions in [`Circuit::outputs`] that
+/// `g`'s output structurally reaches, computed in one reverse-topological
+/// pass: a gate reaches the positions observing its output net plus
+/// those its fanout successors reach. A gate's fanout-cone size (the
+/// gates, itself included, a defect at its output can disturb) is walked
+/// on the first [`Circuit::cone_size`] for that gate and cached.
 #[derive(Debug, Clone)]
 pub struct ConeIndex {
-    gate_words: usize,
     out_words: usize,
-    cones: Vec<u64>,
     observable: Vec<u64>,
-    cone_sizes: Vec<u32>,
+    /// Fanout-cone size per gate, set by its first walk.
+    cone_sizes: Box<[OnceLock<u32>]>,
 }
 
 impl ConeIndex {
-    /// Builds the index by reverse-topological bitset union.
+    /// Builds the observe-point bitsets by reverse-topological union.
     pub(crate) fn build(circuit: &Circuit) -> ConeIndex {
         let num_gates = circuit.num_gates();
         let num_outputs = circuit.outputs().len();
-        let gate_words = num_gates.div_ceil(64).max(1);
         let out_words = num_outputs.div_ceil(64).max(1);
-        let mut cones = vec![0u64; num_gates * gate_words];
         let mut observable = vec![0u64; num_gates * out_words];
-        let mut cone_sizes = vec![0u32; num_gates];
 
         // Observe positions per net (a net may be observed at several
         // positions, e.g. a PO also captured by a scan cell).
@@ -168,46 +157,25 @@ impl ConeIndex {
         for &gate in circuit.topo_order().iter().rev() {
             let g = gate.index();
             let out = circuit.gate_output(gate);
-            // Seed: the gate itself and the positions directly observing
-            // its output net.
-            cones[g * gate_words + g / 64] |= 1u64 << (g % 64);
+            // Seed: the positions directly observing the gate's output.
             for &pos in &out_positions[out.index()] {
                 observable[g * out_words + pos / 64] |= 1u64 << (pos % 64);
             }
-            // Union in each successor's already-final cone (successors
+            // Union in each successor's already-final set (successors
             // have strictly greater level, hence later topo position).
             for &succ in circuit.fanout(out) {
                 let s = succ.index();
-                for w in 0..gate_words {
-                    let bits = cones[s * gate_words + w];
-                    cones[g * gate_words + w] |= bits;
-                }
                 for w in 0..out_words {
                     let bits = observable[s * out_words + w];
                     observable[g * out_words + w] |= bits;
                 }
             }
-            cone_sizes[g] = cones[g * gate_words..(g + 1) * gate_words]
-                .iter()
-                .map(|w| w.count_ones())
-                .sum();
         }
 
         ConeIndex {
-            gate_words,
             out_words,
-            cones,
             observable,
-            cone_sizes,
-        }
-    }
-
-    /// The transitive fanout cone of `gate` as a gate-index bitset
-    /// (always contains `gate` itself).
-    pub fn cone(&self, gate: GateId) -> ConeSet<'_> {
-        let g = gate.index();
-        ConeSet {
-            words: &self.cones[g * self.gate_words..(g + 1) * self.gate_words],
+            cone_sizes: (0..num_gates).map(|_| OnceLock::new()).collect(),
         }
     }
 
@@ -220,9 +188,10 @@ impl ConeIndex {
         }
     }
 
-    /// Number of gates in `gate`'s fanout cone (including itself).
-    pub fn cone_size(&self, gate: GateId) -> u32 {
-        self.cone_sizes[gate.index()]
+    /// Number of gates in `gate`'s fanout cone (including itself): a walk
+    /// over the fanout on the first ask for `gate`, a load afterwards.
+    pub(crate) fn cone_size(&self, circuit: &Circuit, gate: GateId) -> u32 {
+        *self.cone_sizes[gate.index()].get_or_init(|| walk_cone(circuit, gate))
     }
 
     /// Number of `u64` words in an observe-point bitset, for building
@@ -230,6 +199,25 @@ impl ConeIndex {
     pub fn output_words(&self) -> usize {
         self.out_words
     }
+}
+
+/// Counts the gates reachable from `gate` through fanout, `gate` itself
+/// included, each once however many paths reach it.
+fn walk_cone(circuit: &Circuit, gate: GateId) -> u32 {
+    let mut seen = vec![false; circuit.num_gates()];
+    seen[gate.index()] = true;
+    let mut stack = vec![gate];
+    let mut size = 0u32;
+    while let Some(g) = stack.pop() {
+        size += 1;
+        for &succ in circuit.fanout(circuit.gate_output(g)) {
+            if !seen[succ.index()] {
+                seen[succ.index()] = true;
+                stack.push(succ);
+            }
+        }
+    }
+    size
 }
 
 #[cfg(test)]
@@ -290,19 +278,36 @@ mod tests {
         let u2 = c.find_gate("U2").unwrap();
         let u3 = c.find_gate("U3").unwrap();
 
-        let cone = c.fanout_cone(u1);
-        assert!(cone.contains(u1.index()));
-        assert!(cone.contains(u2.index()));
-        assert!(!cone.contains(u3.index()));
-        assert_eq!(cone.count(), 2);
         assert_eq!(c.cone_size(u1), 2);
         assert_eq!(c.cone_size(u2), 1);
+        assert_eq!(c.cone_size(u3), 1);
+        // Cached: the second ask answers the same.
+        assert_eq!(c.cone_size(u1), 2);
 
         // U1 reaches only y0 (position 0); U3 only y1 (position 1).
         assert_eq!(c.observable_outputs(u1).iter().collect::<Vec<_>>(), [0]);
         assert_eq!(c.observable_outputs(u3).iter().collect::<Vec<_>>(), [1]);
-        assert!(!c.fanout_cone(u1).intersects(c.fanout_cone(u3)));
-        assert!(c.fanout_cone(u1).intersects(c.fanout_cone(u2)));
+    }
+
+    #[test]
+    fn reconvergent_gates_count_once_in_a_cone() {
+        // a ─ U1 ┬ U2 ┐
+        //        └ U3 ┴ U4 ─ y: U4 is reached through both branches.
+        let lib = small_library();
+        let mut b = CircuitBuilder::new("reconverge", &lib);
+        let a = b.add_input("a");
+        let x = b.add_gate("INV", &[a], Some("U1")).unwrap();
+        let p = b.add_gate("INV", &[x], Some("U2")).unwrap();
+        let q = b.add_gate("INV", &[x], Some("U3")).unwrap();
+        let y = b.add_gate("NAND2", &[p, q], Some("U4")).unwrap();
+        b.mark_output(y, "y");
+        let c = b.finish().unwrap();
+        let u1 = c.find_gate("U1").unwrap();
+        assert_eq!(c.cone_size(u1), 4);
+        assert_eq!(c.cone_size(c.find_gate("U2").unwrap()), 2);
+        assert_eq!(c.cone_size(c.find_gate("U4").unwrap()), 1);
+        // A clone answers the same, walked or not.
+        assert_eq!(c.clone().cone_size(u1), 4);
     }
 
     #[test]

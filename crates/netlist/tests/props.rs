@@ -103,6 +103,38 @@ proptest! {
         }
     }
 
+    /// Cone sizes and observe points match a per-gate reachability
+    /// reference: the gates a forward walk from the gate's output reaches,
+    /// and the output positions whose nets those gates (or the gate's own
+    /// net) drive.
+    #[test]
+    fn cones_match_forward_reachability(seed in any::<u64>(), gates in 1usize..120) {
+        let lib = library();
+        let c = random_circuit(&lib, seed, gates);
+        for g in c.gates() {
+            let mut reached = vec![false; c.num_gates()];
+            let mut frontier = vec![g];
+            reached[g.index()] = true;
+            while let Some(x) = frontier.pop() {
+                for &succ in c.fanout(c.gate_output(x)) {
+                    if !std::mem::replace(&mut reached[succ.index()], true) {
+                        frontier.push(succ);
+                    }
+                }
+            }
+            let size = reached.iter().filter(|&&r| r).count();
+            prop_assert_eq!(c.cone_size(g) as usize, size);
+            let observed: Vec<usize> = c
+                .outputs()
+                .iter()
+                .enumerate()
+                .filter(|&(_, &net)| c.driver(net).is_some_and(|d| reached[d.index()]))
+                .map(|(pos, _)| pos)
+                .collect();
+            prop_assert_eq!(c.observable_outputs(g).iter().collect::<Vec<_>>(), observed);
+        }
+    }
+
     /// The text format round-trips: writing and re-parsing preserves the
     /// structure (gates, types, connections up to net identity).
     #[test]

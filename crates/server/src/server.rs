@@ -561,12 +561,14 @@ impl Connection {
     }
 
     /// Serves one `Request` or `Volume` frame inside its telemetry: the
-    /// trace (adopting the client's trace id, or minting one) with the
-    /// measured `server.decode` span as its first root, the per-kind
-    /// counter and root span, the live stats and the event-log record.
-    /// The root span and the recorded latency end when the answer is
-    /// ready; writing it comes after. Returns whether the connection
-    /// should keep serving.
+    /// trace (adopting the client's trace id, or minting one), the
+    /// per-kind counter and root span, the live stats and the event-log
+    /// record. Only an event log reads a trace's spans, so only with one
+    /// is the trace entered, with the measured `server.decode` span as
+    /// its first root; without one no span is kept, and the trace id and
+    /// events still ride the answer. The root span and the recorded
+    /// latency end when the answer is ready; writing it comes after.
+    /// Returns whether the connection should keep serving.
     fn handle_diagnosis(
         &mut self,
         stream: &mut TcpStream,
@@ -590,9 +592,12 @@ impl Connection {
         count(counter, 1);
         count("server.requests_total", 1);
         let trace = TraceContext::new(request.trace_id.unwrap_or_else(icd_obs::mint_trace_id));
-        trace.record_span_external("server.decode", decode_start, decode);
+        let logged = self.config.event_log.is_some();
+        if logged {
+            trace.record_span_external("server.decode", decode_start, decode);
+        }
         let (answer, outcome) = {
-            let _entered = trace.enter();
+            let _entered = logged.then(|| trace.enter());
             let _root = icd_obs::span(root);
             match kind {
                 RequestKind::Volume => self.run_volume(stream, request, &trace),
@@ -873,8 +878,9 @@ impl Connection {
                     client_gone = true;
                 }
             };
-            // The request's trace is entered on this thread, so the
-            // service's jobs enter it on their workers too.
+            // When the request's trace is entered on this thread (an
+            // event log reads it), the service's jobs enter it on their
+            // workers too.
             let outcome = self
                 .service
                 .diagnose_streamed(datalog, token, &mut on_event);
@@ -1041,14 +1047,15 @@ mod tests {
 
     const IO_TIMEOUT: Duration = Duration::from_secs(30);
 
-    /// A running one-worker daemon. Every job first reports on `entered`,
-    /// then waits at the gate until `open_gate` drops its sender.
+    /// A running one-worker daemon. Every job first reports on `entered`
+    /// whether a trace is entered on its thread, then waits at the gate
+    /// until `open_gate` drops its sender.
     struct Gated {
         addr: SocketAddr,
         handle: ServerHandle,
         service: Arc<DiagnosisService>,
         join: thread::JoinHandle<io::Result<DrainOutcome>>,
-        entered: mpsc::Receiver<()>,
+        entered: mpsc::Receiver<bool>,
         open: Option<mpsc::Sender<()>>,
         /// Failing device logs of the served design, as datalog text.
         texts: Vec<String>,
@@ -1071,7 +1078,7 @@ mod tests {
             let gate = Mutex::new((entered_tx, open_rx));
             let hook = Arc::new(move || {
                 let gate = gate.lock().unwrap_or_else(PoisonError::into_inner);
-                let _ = gate.0.send(());
+                let _ = gate.0.send(TraceContext::current().is_some());
                 let _ = gate.1.recv();
             });
             let service = DiagnosisService::new(ctx, 1, config.queue_capacity, config.submit_wait)
@@ -1119,10 +1126,12 @@ mod tests {
             })
         }
 
-        fn wait_entered(&self) {
+        /// Waits for a job at the gate; returns whether it runs inside
+        /// a trace.
+        fn wait_entered(&self) -> bool {
             self.entered
                 .recv_timeout(IO_TIMEOUT)
-                .expect("a job reached the gate");
+                .expect("a job reached the gate")
         }
 
         /// Polls until `n` jobs are queued or running.
@@ -1408,6 +1417,36 @@ mod tests {
         let devices = assert_client_gone(&logged_record(&log_path, "volume"));
         assert_eq!(devices, 1, "only device 0 ran");
         daemon.finish();
+        let _ = std::fs::remove_file(&log_path);
+    }
+
+    #[test]
+    fn jobs_run_inside_a_trace_only_when_an_event_log_reads_it() {
+        let (log_path, event_log) = temp_event_log("gated-trace");
+        for (event_log, traced) in [(None, false), (Some(event_log), true)] {
+            let mut daemon = Gated::start(ServerConfig {
+                event_log,
+                ..ServerConfig::default()
+            });
+            let submit = daemon.submit_in_background(0, 0);
+            assert_eq!(daemon.wait_entered(), traced, "front job");
+            daemon.open_gate();
+            submit.join().expect("client thread").expect("answered");
+            daemon.finish();
+        }
+        // Only the logged request kept its spans, frame decode included.
+        let record = logged_record(&log_path, "request");
+        let roots = record
+            .get("spans")
+            .and_then(|s| s.get("trace"))
+            .and_then(|t| t.as_array())
+            .expect("span forest");
+        assert!(
+            roots
+                .iter()
+                .any(|n| text(n, "name").as_deref() == Some("server.decode")),
+            "{record:?}"
+        );
         let _ = std::fs::remove_file(&log_path);
     }
 
